@@ -13,11 +13,17 @@ operations (narrow, concat, pick, embed_rows, vsum, expand/squeeze) are index
 plumbing and fixed-order batch reductions with trivial adjoints.  Reductions
 accumulate in a fixed order, so repeated evaluation of the same graph is
 bitwise reproducible.
+
+The tape is the reference for the gradients the models train with: the two
+training loops use hand-written batched backward passes
+(``invariant_training.invariant_loss_and_grad`` and
+``ood_classifier.classifier_loss_and_grad``), which the test suite checks
+against this tape, and the tape against central finite differences.  The
+embedding loop, whose denoiser is pluggable, trains on the tape directly.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -29,8 +35,7 @@ Array = np.ndarray
 
 
 def _all_finite(value) -> bool:
-    # sum is finite iff all entries are (inf +/- inf propagates to inf or nan)
-    return math.isfinite(float(np.sum(value)))
+    return bool(np.isfinite(value).all())
 
 
 class Node:
@@ -146,18 +151,18 @@ def tanh(x):
     return _record("tanh", out, (x,), lambda g: ((1.0 - out * out) * g,))
 
 
+def log_sigmoid_with_slope(xv):
+    """log(1 / (1 + exp(-x))) of an array and its derivative sigmoid(-x),
+    both computed without overflow."""
+    t = np.exp(-np.abs(xv))
+    return (np.where(xv >= 0, -np.log1p(t), xv - np.log1p(t)),
+            np.where(xv >= 0, t / (1.0 + t), 1.0 / (1.0 + t)))
+
+
 def log_sigmoid(x):
     """log(1 / (1 + exp(-x))), computed without overflow."""
-    xv = value_of(x)
-    t = np.exp(-np.abs(xv))
-    out = np.where(xv >= 0, -np.log1p(t), xv - np.log1p(t))
-
-    def vjp_all(g):
-        # d/dx log sigmoid(x) = sigmoid(-x)
-        sig_neg = np.where(xv >= 0, t / (1.0 + t), 1.0 / (1.0 + t))
-        return (g * sig_neg,)
-
-    return _record("log_sigmoid", out, (x,), vjp_all)
+    out, slope = log_sigmoid_with_slope(value_of(x))
+    return _record("log_sigmoid", out, (x,), lambda g: (g * slope,))
 
 
 def logsumexp(x):
@@ -328,54 +333,57 @@ def skew_matrix(flat, dim):
     return m - m.T
 
 
-def cayley_rotation(flat, dim):
-    """The rotation Q = (I - S)(I + S)^-1 for skew-symmetric S; det Q = +1."""
+def cayley_rotation(flat, dim, transpose=False):
+    """The rotation Q = (I + S)^-1 (I - S) for skew-symmetric S; det Q = +1.
+
+    ``transpose`` negates S, which gives Q^T.
+    """
     s = skew_matrix(value_of(flat), dim)
+    if transpose:
+        s = -s
     eye = np.eye(dim)
     return np.linalg.solve(eye + s, eye - s)
+
+
+def cayley_adjoint(q, x, g, transpose=False):
+    """Adjoints of the rows ``x @ q.T``, for ``q = cayley_rotation(flat, dim, transpose)``.
+
+    ``x`` and the output gradient ``g`` are ``(N, dim)`` batches.  Returns the
+    gradients with respect to ``flat`` and to ``x``.  With A = I + S,
+    dQ = -2 A^-1 dS A^-1, and A^-1 = (Q + I) / 2 needs no further solve.
+    """
+    inv_a = 0.5 * (q + np.eye(q.shape[0]))
+    full = -2.0 * ((g @ inv_a).T @ (x @ inv_a.T))
+    if transpose:
+        full = -full
+    iu = _triu_indices(q.shape[0])
+    return full[iu] - full.T[iu], g @ q
 
 
 def cayley_matvec(flat, x, transpose=False):
     """Apply the Cayley rotation of ``flat`` to ``x`` (or its transpose).
 
     The rotation matrix is an exact function of the skew parameters, so the
-    adjoint with respect to ``flat`` is computed analytically through the
-    linear solves; it is checked against finite differences like every other
-    primitive.
+    adjoint with respect to ``flat`` is computed analytically
+    (:func:`cayley_adjoint`); it is checked against finite differences like
+    every other primitive.
     """
-    sv, xv = value_of(flat), value_of(x)
-    dim = xv.shape[-1]
-    s = skew_matrix(sv, dim)
-    if transpose:
-        s = -s
-    eye = np.eye(dim)
-    a = eye + s
-    q = np.linalg.solve(a, eye - s)
+    xv = value_of(x)
+    q = cayley_rotation(flat, xv.shape[-1], transpose)
 
     if xv.ndim == 1:
         out = q @ xv
 
         def vjp_all(g):
-            z = np.linalg.solve(a, xv)
-            w = np.linalg.solve(a.T, np.asarray(g, dtype=np.float64))
-            full = -2.0 * np.outer(w, z)
-            if transpose:
-                full = -full
-            iu = _triu_indices(dim)
-            return (full[iu] - full.T[iu], q.T @ g)
+            gs, gx = cayley_adjoint(q, xv[None], np.asarray(g, dtype=np.float64)[None],
+                                    transpose)
+            return (gs, gx[0])
 
     elif xv.ndim == 2:
         out = xv @ q.T
 
         def vjp_all(g):
-            g = np.asarray(g, dtype=np.float64)
-            z = np.linalg.solve(a, xv.T).T
-            w = np.linalg.solve(a.T, g.T).T
-            full = -2.0 * (w.T @ z)
-            if transpose:
-                full = -full
-            iu = _triu_indices(dim)
-            return (full[iu] - full.T[iu], g @ q)
+            return cayley_adjoint(q, xv, np.asarray(g, dtype=np.float64), transpose)
 
     else:
         raise ContractError(f"cayley_matvec expects a vector or batch, got ndim {xv.ndim}")

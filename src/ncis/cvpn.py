@@ -82,11 +82,18 @@ def build_cvpn(dim, num_invariants, num_blocks, class_count, hidden_width, seed)
 # layer application (works on plain arrays and on tape nodes)
 # ---------------------------------------------------------------------------
 
+def translation_layers(P, block):
+    """The ``(W, b)`` layers of one block's translation net, input to output."""
+    base = f"block{block}.t_"
+    return [(P[f"{base}w{j}"], P[f"{base}b{j}"]) for j in (1, 2, 3)]
+
+
 def _translation(P, block, x_rest, class_rows):
     tin = ad.concat(x_rest, class_rows)
-    h1 = ad.tanh(ad.add(ad.matvec(P[f"block{block}.t_w1"], tin), P[f"block{block}.t_b1"]))
-    h2 = ad.tanh(ad.add(ad.matvec(P[f"block{block}.t_w2"], h1), P[f"block{block}.t_b2"]))
-    return ad.add(ad.matvec(P[f"block{block}.t_w3"], h2), P[f"block{block}.t_b3"])
+    (w1, b1), (w2, b2), (w3, b3) = translation_layers(P, block)
+    h1 = ad.tanh(ad.add(ad.matvec(w1, tin), b1))
+    h2 = ad.tanh(ad.add(ad.matvec(w2, h1), b2))
+    return ad.add(ad.matvec(w3, h2), b3)
 
 
 def coupling_shift(x, translation, split, sign=1.0):

@@ -63,11 +63,13 @@ def fpr_at_tpr(samples, level: float = 0.95) -> float:
     id_s, ood_s = _split(samples)
     n = len(id_s)
     id_desc = np.sort(id_s)[::-1]
-    for k in range(1, n + 1):
-        tau = id_desc[k - 1]
-        if np.sum(id_s >= tau) / n >= level:
-            return float(np.sum(ood_s >= tau) / len(ood_s))
-    return 1.0  # unreachable: k = n always passes
+    # The k-th largest ID score passes at least k of n, and exactly as many as
+    # the k-th largest of its tie group, so the largest passing threshold is
+    # the k-th largest score for the smallest k with k / n >= level.  The
+    # recall is computed by that same division, so rounding cannot shift k.
+    k = int(np.searchsorted(np.arange(1, n + 1) / n, level)) + 1
+    tau = id_desc[k - 1]
+    return float(np.sum(ood_s >= tau) / len(ood_s))
 
 
 def classification_accuracy(predicted, truth) -> float:

@@ -9,6 +9,7 @@ step by construction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ from . import autodiff as ad
 from . import cvpn
 from .data import LabeledEmbeddingSet, require_min_class_size
 from .errors import ContractError, NumericError
-from .optim import adam_init, adam_update
+from .mlp import tanh_mlp, tanh_mlp_backward
+from .optim import adam_init, adam_update, flatten_params, views_like
 
 
 @dataclass
@@ -86,14 +88,41 @@ def invariant_loss(model, embeddings, labels) -> float:
     return float(np.mean(np.sum(g * g, axis=1)))
 
 
-def _batch_loss_fn(model, batch_x, batch_y):
-    scale = 1.0 / batch_x.shape[0]
+def invariant_loss_and_grad(model, P, x, labels, grads) -> float:
+    """Batch loss ``sum(out[:, :k] ** 2) / B`` of ``cvpn.apply_blocks`` and its gradient.
 
-    def loss(P):
-        out = cvpn.apply_blocks(model, P, batch_x, batch_y)
-        g = ad.narrow(out, 0, model.num_invariants)
-        return ad.mul(ad.sumsq(g), scale)
+    A hand-written reverse pass over the layers, checked against the tape in
+    the test suite.  The gradient of each parameter ``P[name]`` is written
+    into ``grads[name]``, an array of the same shape.  Returns the loss.
+    """
+    batch, dim = x.shape
+    d = cvpn.ceil_half(dim)
+    class_rows = P["class_embed"][labels]
+    saved = []
+    for i in range(model.num_blocks):
+        q = ad.cayley_rotation(P[f"block{i}.orth_skew"], dim)
+        rotated = x @ q.T
+        layers = cvpn.translation_layers(P, i)
+        t, inputs = tanh_mlp(layers, np.concatenate([rotated[:, d:], class_rows], axis=1))
+        saved.append((q, x, layers, inputs))
+        x = np.concatenate([rotated[:, :d] + t, rotated[:, d:]], axis=1)
 
+    scale = 1.0 / batch
+    inv = x[:, :model.num_invariants]
+    loss = float(np.sum(inv * inv) * scale)
+
+    g = np.zeros_like(x)
+    g[:, :model.num_invariants] = (2.0 * scale) * inv
+    g_rows = np.zeros_like(class_rows)
+    for i in range(model.num_blocks - 1, -1, -1):
+        q, x_in, layers, inputs = saved[i]
+        g_tin = tanh_mlp_backward(layers, inputs, g[:, :d], cvpn.translation_layers(grads, i))
+        g[:, d:] += g_tin[:, :dim - d]
+        g_rows += g_tin[:, dim - d:]
+        grads[f"block{i}.orth_skew"][...], g = ad.cayley_adjoint(q, x_in, g)
+    g_embed = grads["class_embed"]
+    g_embed[...] = 0.0
+    np.add.at(g_embed, labels, g_rows)
     return loss
 
 
@@ -101,7 +130,8 @@ def train_cvpn(model, data: LabeledEmbeddingSet, cfg: TrainConfig):
     """Minimize the invariant loss in place; returns (model, loss history).
 
     The history is an ``(iterations, 2)`` array of (iteration, batch loss
-    before the update).  Identical seeds give identical histories.
+    before the update).  Identical seeds give identical histories.  The
+    model's parameters end up as views of one flat buffer (see ``optim``).
     """
     if data.dim != model.dim:
         raise ContractError(f"data dimension {data.dim} does not match model dim {model.dim}")
@@ -111,19 +141,23 @@ def train_cvpn(model, data: LabeledEmbeddingSet, cfg: TrainConfig):
         raise ContractError("cannot train on an empty embedding set")
 
     rng = np.random.default_rng(cfg.seed)
-    state = adam_init(model.params)
+    flat = flatten_params(model.params)
+    grad = np.zeros_like(flat)
+    grads = views_like(grad, model.params)
+    state = adam_init(flat)
     n = len(data)
     bs = min(cfg.batch_size, n)
     history = np.empty((cfg.iterations, 2))
 
-    for it in range(cfg.iterations):
-        idx = rng.choice(n, size=bs, replace=False)
-        loss_fn = _batch_loss_fn(model, data.embeddings[idx], data.labels[idx])
-        try:
-            loss, grads = ad.eval_and_grad(loss_fn, model.params)
-        except NumericError as err:
-            raise NumericError(f"training aborted at iteration {it}: {err}") from err
-        history[it, 0] = it
-        history[it, 1] = loss
-        adam_update(model.params, grads, state, cfg.learning_rate)
+    # the finite check below reports a non-finite step with its position
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.iterations):
+            idx = rng.choice(n, size=bs, replace=False)
+            loss = invariant_loss_and_grad(model, model.params, data.embeddings[idx],
+                                           data.labels[idx], grads)
+            if not (math.isfinite(loss) and np.isfinite(grad).all()):
+                raise NumericError(f"training aborted at iteration {it}: non-finite loss or gradient")
+            history[it, 0] = it
+            history[it, 1] = loss
+            adam_update(flat, grad, state, cfg.learning_rate)
     return model, history

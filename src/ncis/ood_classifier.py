@@ -18,7 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
-from .optim import adam_init, adam_update
+from .mlp import tanh_mlp, tanh_mlp_backward
+from .optim import adam_init, adam_update, flatten_params, views_like
 
 
 @dataclass
@@ -95,10 +96,19 @@ def build_energy_classifier(dim, class_count, hidden_width=64, phi_hidden=8,
 # forward pieces (array or tape)
 # ---------------------------------------------------------------------------
 
+def _clf_layers(P):
+    return [(P[f"clf.w{j}"], P[f"clf.b{j}"]) for j in (1, 2, 3)]
+
+
+def _phi_layers(P):
+    return [(P[f"phi.w{j}"], P[f"phi.b{j}"]) for j in (1, 2)]
+
+
 def _logits(P, x):
-    h1 = ad.tanh(ad.add(ad.matvec(P["clf.w1"], x), P["clf.b1"]))
-    h2 = ad.tanh(ad.add(ad.matvec(P["clf.w2"], h1), P["clf.b2"]))
-    return ad.add(ad.matvec(P["clf.w3"], h2), P["clf.b3"])
+    (w1, b1), (w2, b2), (w3, b3) = _clf_layers(P)
+    h1 = ad.tanh(ad.add(ad.matvec(w1, x), b1))
+    h2 = ad.tanh(ad.add(ad.matvec(w2, h1), b2))
+    return ad.add(ad.matvec(w3, h2), b3)
 
 
 def _energy_of_logits(logits):
@@ -106,9 +116,10 @@ def _energy_of_logits(logits):
 
 
 def _phi(P, energy):
+    (w1, b1), (w2, b2) = _phi_layers(P)
     e1 = ad.expand_last(energy)
-    h = ad.tanh(ad.add(ad.matvec(P["phi.w1"], e1), P["phi.b1"]))
-    return ad.add(ad.squeeze_last(ad.matvec(P["phi.w2"], h)), P["phi.b2"])
+    h = ad.tanh(ad.add(ad.matvec(w1, e1), b1))
+    return ad.add(ad.squeeze_last(ad.matvec(w2, h)), b2)
 
 
 def _score(P, x):
@@ -149,34 +160,44 @@ def _check_input(clf, x):
     return x
 
 
-def classifier_logits(clf, x):
-    return _logits(clf.params, _check_input(clf, x))
-
-
-def sample_energy(clf, x) -> float:
-    return energy(classifier_logits(clf, x))
-
-
-def ood_score(clf, x) -> float:
-    """The composed score head(energy(logits(x))); larger means more ID."""
-    return float(_score(clf.params, _check_input(clf, x)))
-
-
-def ood_scores(clf, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    return np.array([ood_score(clf, x) for x in xs])
-
-
-def sample_energies(clf, xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    return np.array([sample_energy(clf, x) for x in xs])
-
-
-def predict_labels(clf, xs) -> np.ndarray:
+def _check_rows(clf, xs):
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != clf.dim:
         raise ContractError(f"expected shape (N, {clf.dim}), got {xs.shape}")
-    return np.argmax(_logits(clf.params, xs), axis=1)
+    return xs
+
+
+def _row_energies(P, xs):
+    # Each row goes through its own matrix-vector products (a stack of 1-row
+    # matmuls), so a row's result does not depend on the rows batched with
+    # it; a plain (N, D) matmul would change the last bits with N.
+    logits, _ = tanh_mlp(_clf_layers(P), xs[:, None, :])
+    return _energy_of_logits(logits)
+
+
+def sample_energies(clf, xs) -> np.ndarray:
+    """The energy (negative log-sum-exp of the logits) of each row of ``xs``."""
+    return _row_energies(clf.params, _check_rows(clf, xs))[:, 0]
+
+
+def ood_scores(clf, xs) -> np.ndarray:
+    """The composed score head(energy(logits(x))) of each row; larger means more ID."""
+    energies = _row_energies(clf.params, _check_rows(clf, xs))
+    scores, _ = tanh_mlp(_phi_layers(clf.params), energies[..., None])
+    return scores[:, 0, 0]
+
+
+def sample_energy(clf, x) -> float:
+    return float(sample_energies(clf, _check_input(clf, x)[None])[0])
+
+
+def ood_score(clf, x) -> float:
+    """The score of one embedding: a one-row call of ``ood_scores``."""
+    return float(ood_scores(clf, _check_input(clf, x)[None])[0])
+
+
+def predict_labels(clf, xs) -> np.ndarray:
+    return np.argmax(_logits(clf.params, _check_rows(clf, xs)), axis=1)
 
 
 def ood_regularization_loss(clf, id_batch, ood_batch) -> float:
@@ -198,15 +219,53 @@ def total_loss(clf, id_batch, id_labels, ood_batch) -> RegularizedLossReport:
         raise ContractError("label out of range")
     ce = float(_ce_term(clf.params, id_batch, id_labels))
     ood = ood_regularization_loss(clf, id_batch, ood_batch)
-    id_e = np.array([energy(_logits(clf.params, x)) for x in id_batch])
-    ood_e = np.array([energy(_logits(clf.params, x)) for x in np.asarray(ood_batch, dtype=np.float64)])
     return RegularizedLossReport(
         total=ce + clf.beta * ood,
         cross_entropy=ce,
         ood_term=ood,
-        mean_id_energy=float(np.mean(id_e)),
-        mean_ood_energy=float(np.mean(ood_e)),
+        mean_id_energy=float(np.mean(sample_energies(clf, id_batch))),
+        mean_ood_energy=float(np.mean(sample_energies(clf, ood_batch))),
     )
+
+
+def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads) -> float:
+    """One training step's loss, ``_ce_term + beta * _ood_term``, and its gradient.
+
+    A hand-written reverse pass, checked against the tape in the test suite.
+    The ID and outlier rows share one pass through the classifier.  With
+    ``beta == 0`` the separation term is dropped and the scoring head's
+    gradients are exactly zero.  The gradient of each ``P[name]`` is written
+    into ``grads[name]``, an array of the same shape.  Returns the loss.
+    """
+    n_id = id_x.shape[0]
+    x = id_x if beta == 0.0 else np.concatenate([id_x, ood_x])
+    clf_layers = _clf_layers(P)
+    logits, clf_inputs = tanh_mlp(clf_layers, x)
+    lse = ad.logsumexp(logits)
+    soft = np.exp(logits - lse[:, None])
+    rows = np.arange(n_id)
+    loss = float(np.sum(lse[:n_id] - logits[rows, id_y]) * (1.0 / n_id))
+
+    if beta == 0.0:
+        g_logits = soft * (1.0 / n_id)
+        for gw, gb in _phi_layers(grads):
+            gw[...] = 0.0
+            gb[...] = 0.0
+    else:
+        n_ood = x.shape[0] - n_id
+        phi_layers = _phi_layers(P)
+        u, phi_inputs = tanh_mlp(phi_layers, -lse[:, None])
+        ls_id, d_id = ad.log_sigmoid_with_slope(u[:n_id, 0])
+        ls_ood, d_ood = ad.log_sigmoid_with_slope(-u[n_id:, 0])
+        separation = np.sum(-ls_ood) * (1.0 / n_ood) + np.sum(-ls_id) * (1.0 / n_id)
+        loss = float(loss + separation * beta)
+        g_u = np.concatenate([-(beta / n_id) * d_id, (beta / n_ood) * d_ood])
+        g_energy = tanh_mlp_backward(phi_layers, phi_inputs, g_u[:, None], _phi_layers(grads))
+        g_logits = soft * g_energy * -1.0   # energy = -logsumexp(logits)
+        g_logits[:n_id] += soft[:n_id] * (1.0 / n_id)
+    g_logits[rows, id_y] -= 1.0 / n_id
+    tanh_mlp_backward(clf_layers, clf_inputs, g_logits, _clf_layers(grads))
+    return loss
 
 
 def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
@@ -214,8 +273,9 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
     """Jointly fit the classifier and scoring head by mini-batch updates.
 
     Every step pairs an ID mini-batch with an equally sized outlier
-    mini-batch.  With ``beta == 0`` the regularization term is dropped from
-    the graph entirely, so the scoring head keeps its initialization.
+    mini-batch.  With ``beta == 0`` the regularization term is dropped
+    entirely, so the scoring head keeps its initialization.  The returned
+    classifier's parameters are views of one flat buffer (see ``optim``).
     """
     ood_x = outliers.embeddings if hasattr(outliers, "embeddings") else np.asarray(outliers, dtype=np.float64)
     ood_x = np.asarray(ood_x, dtype=np.float64)
@@ -229,32 +289,28 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
                                   phi_hidden=cfg.phi_hidden,
                                   beta=cfg.beta, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    state = adam_init(clf.params)
+    flat = flatten_params(clf.params)
+    grad = np.zeros_like(flat)
+    grads = views_like(grad, clf.params)
+    state = adam_init(flat)
     n_id = len(id_data)
     n_ood = ood_x.shape[0]
     bs = min(cfg.batch_size, n_id)
     steps = math.ceil(n_id / bs)
 
-    for epoch in range(cfg.epochs):
-        order_id = rng.permutation(n_id)
-        need = steps * bs
-        tiles = [rng.permutation(n_ood) for _ in range(math.ceil(need / n_ood))]
-        order_ood = np.concatenate(tiles)[:need]
-        for step in range(steps):
-            bi = order_id[step * bs:(step + 1) * bs]
-            bo = order_ood[step * bs:step * bs + bi.size]
-            xb, yb = id_data.embeddings[bi], id_data.labels[bi]
-            ob = ood_x[bo]
-
-            def loss_fn(P):
-                ce = _ce_term(P, xb, yb)
-                if cfg.beta == 0.0:
-                    return ce
-                return ad.add(ce, ad.mul(_ood_term(P, xb, ob), cfg.beta))
-
-            try:
-                _, grads = ad.eval_and_grad(loss_fn, clf.params)
-            except NumericError as err:
-                raise NumericError(f"training aborted at epoch {epoch}: {err}") from err
-            adam_update(clf.params, grads, state, cfg.learning_rate)
+    # the finite check below reports a non-finite step with its position
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order_id = rng.permutation(n_id)
+            need = steps * bs
+            tiles = [rng.permutation(n_ood) for _ in range(math.ceil(need / n_ood))]
+            order_ood = np.concatenate(tiles)[:need]
+            for step in range(steps):
+                bi = order_id[step * bs:(step + 1) * bs]
+                bo = order_ood[step * bs:step * bs + bi.size]
+                loss = classifier_loss_and_grad(clf.params, id_data.embeddings[bi], id_data.labels[bi],
+                                                ood_x[bo], cfg.beta, grads)
+                if not (math.isfinite(loss) and np.isfinite(grad).all()):
+                    raise NumericError(f"training aborted at epoch {epoch}: non-finite loss or gradient")
+                adam_update(flat, grad, state, cfg.learning_rate)
     return clf

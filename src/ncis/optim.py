@@ -1,47 +1,65 @@
-"""Parameter update rules shared by the trainable modules."""
+"""Flat parameter storage and the Adam update shared by the trainable modules.
 
-from dataclasses import dataclass, field
+A model's parameters live in one flat float64 buffer; ``params[name]`` is a
+reshaped view of its slice, so code that reads the dict (inference, artifact
+files) is unchanged, while the optimizer works on whole vectors.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
+
+
+def views_like(flat, params):
+    """Views of consecutive slices of ``flat`` shaped like ``params``' arrays."""
+    views = {}
+    offset = 0
+    for name, value in params.items():
+        shape = np.shape(value)
+        size = int(np.prod(shape))
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def flatten_params(params):
+    """Move every array of ``params`` into one flat buffer, in place.
+
+    Afterwards each ``params[name]`` is a view of the returned buffer with its
+    former shape and values.
+    """
+    flat = np.concatenate([np.ravel(np.asarray(v, dtype=np.float64)) for v in params.values()])
+    params.update(views_like(flat, params))
+    return flat
 
 
 @dataclass
 class AdamState:
     """First/second moment accumulators for adaptive per-parameter scaling."""
 
-    first: dict = field(default_factory=dict)
-    second: dict = field(default_factory=dict)
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
 
 
-def adam_init(params) -> AdamState:
-    state = AdamState()
-    for name, value in params.items():
-        state.first[name] = np.zeros_like(value)
-        state.second[name] = np.zeros_like(value)
-    return state
+def adam_init(flat) -> AdamState:
+    return AdamState(np.zeros_like(flat), np.zeros_like(flat))
 
 
-def adam_update(params, grads, state, learning_rate,
+def adam_update(flat, grad, state, learning_rate,
                 beta1=0.9, beta2=0.999, eps=1e-8):
-    """One in-place update of ``params`` from ``grads``.
+    """One in-place update of the flat parameter vector from ``grad``.
 
-    A parameter with an exactly zero gradient is left untouched (its moments
-    stay zero), so parameters outside the gradient path never drift.
+    An entry whose gradient has always been exactly zero is left untouched
+    (its moments stay zero), so parameters outside the gradient path never
+    drift.
     """
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
-    for name, g in grads.items():
-        m = state.first[name]
-        v = state.second[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        params[name] -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
-
-
-def sgd_update(params, grads, learning_rate):
-    for name, g in grads.items():
-        params[name] -= learning_rate * g
+    m, v = state.first, state.second
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * (grad * grad)
+    flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)

@@ -129,6 +129,11 @@ def test_nan_input_raises_numeric_error():
         ad.eval_and_grad(lambda P: ad.sumsq(P["x"]), {"x": np.array([1.0, np.nan])})
 
 
+def test_finite_values_with_overflowing_sum_accepted():
+    node = ad.Node([1e308, 1e308])
+    assert np.array_equal(node.value, [1e308, 1e308])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflow_names_offending_op():
     with pytest.raises(NumericError, match="mul"):

@@ -121,6 +121,22 @@ def test_fpr_matches_oracle_exactly_100_sets():
         assert ev.fpr_at_tpr(samples_of(ids, oods), level) == fpr_oracle(ids, oods, level)
 
 
+def test_fpr_matches_oracle_at_2000_heavily_tied_scores():
+    rng = np.random.default_rng(3)
+    for level in (0.5, 0.8, 0.95, 0.9995, 1.0, float(rng.uniform(0.01, 1.0))):
+        ids = np.round(rng.standard_normal(2000) * 2)
+        oods = np.round(rng.standard_normal(2000) * 2 - 1)
+        assert ev.fpr_at_tpr(samples_of(ids, oods), level) == fpr_oracle(ids, oods, level)
+
+
+def test_fpr_level_equal_to_a_recall_fraction():
+    # For n = 1999 and these k, level = k / n but level * n rounds above k, so
+    # a k derived from level * n would pick the next threshold down.
+    ids = np.random.default_rng(4).permutation(1999).astype(float)
+    for k in (125, 250, 500):
+        assert ev.fpr_at_tpr(samples_of(ids, ids), k / 1999) == fpr_oracle(ids, ids, k / 1999)
+
+
 def test_fpr_level_validated():
     with pytest.raises(ContractError):
         ev.fpr_at_tpr(samples_of([1.0], [0.0]), 0.0)

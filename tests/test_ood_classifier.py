@@ -5,7 +5,7 @@ import pytest
 
 from ncis import ood_classifier as oc
 from ncis.data import LabeledEmbeddingSet
-from ncis.errors import ContractError
+from ncis.errors import ContractError, NumericError
 
 LN2 = math.log(2.0)
 
@@ -174,6 +174,15 @@ def test_training_requires_outliers(toy_bench):
     with pytest.raises(ContractError):
         oc.train_energy_classifier(toy_bench.train, np.empty((0, 2)),
                                    oc.ClassifierConfig(epochs=1, seed=0))
+
+
+def test_training_aborts_on_nonfinite_with_epoch():
+    rng = np.random.default_rng(0)
+    data = LabeledEmbeddingSet(rng.standard_normal((20, 2)), rng.integers(0, 2, 20), 2)
+    outliers = rng.standard_normal((10, 2))
+    outliers[3] = np.nan
+    with pytest.raises(NumericError, match="epoch 0"):
+        oc.train_energy_classifier(data, outliers, oc.ClassifierConfig(epochs=2, seed=0))
 
 
 def test_training_deterministic(toy_bench, toy_run):
