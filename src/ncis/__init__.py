@@ -21,8 +21,7 @@ from .invariant_training import TrainConfig, invariant_loss, select_num_invarian
 from .ood_classifier import (ClassifierConfig, EnergyClassifier, RegularizedLossReport,
                              build_energy_classifier, energy, ood_regularization_loss,
                              ood_score, total_loss, train_energy_classifier)
-from .outlier_sampling import (OutlierSet, outlier_embedding, rejection_sample_invariant,
-                               synthesize_outliers)
+from .outlier_sampling import OutlierSet, rejection_sample_invariant, synthesize_outliers
 from .pipeline import run_pipeline, sweep_lambda
 
 __version__ = "0.1.0"

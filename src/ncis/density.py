@@ -48,9 +48,12 @@ def _check_label(bank, label):
 
 
 def _logdens(mean, chol, points):
+    # One single-right-hand-side solve per row (a stacked solve), so a row's
+    # value does not depend on the rows batched with it; a multi-RHS
+    # ``solve(chol, diff.T)`` changes the last bits with the batch.
     diff = np.atleast_2d(points) - mean
-    y = np.linalg.solve(chol, diff.T)
-    maha = np.sum(y * y, axis=0)
+    y = np.linalg.solve(chol, diff[:, :, None])[:, :, 0]
+    maha = np.sum(y * y, axis=1)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (mean.shape[0] * _LOG_2PI + logdet + maha)
 
@@ -102,15 +105,17 @@ def fit_class_gaussians(vectors, labels, lam, class_count=None) -> ClassGaussian
 
 
 def log_density_v(bank, v, label) -> float:
-    """Gaussian log-density of a single invariant-space vector."""
-    lab = _check_label(bank, label)
+    """Gaussian log-density of one invariant-space vector: a one-row call of
+    :func:`log_density_v_batch`."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (bank.dim,):
         raise ContractError(f"expected a vector of dimension {bank.dim}, got shape {v.shape}")
-    return float(_logdens(bank.means[lab], bank.cholesky[lab], v)[0])
+    return float(log_density_v_batch(bank, v[None], label)[0])
 
 
 def log_density_v_batch(bank, vs, label):
+    """Gaussian log-density of each row of ``vs``; each row's value is the
+    same whatever it is batched with."""
     lab = _check_label(bank, label)
     vs = np.asarray(vs, dtype=np.float64)
     if vs.ndim != 2 or vs.shape[1] != bank.dim:

@@ -167,12 +167,16 @@ def _check_rows(clf, xs):
     return xs
 
 
-def _row_energies(P, xs):
+def _row_logits(P, xs):
     # Each row goes through its own matrix-vector products (a stack of 1-row
     # matmuls), so a row's result does not depend on the rows batched with
     # it; a plain (N, D) matmul would change the last bits with N.
     logits, _ = tanh_mlp(_clf_layers(P), xs[:, None, :])
-    return _energy_of_logits(logits)
+    return logits
+
+
+def _row_energies(P, xs):
+    return _energy_of_logits(_row_logits(P, xs))
 
 
 def sample_energies(clf, xs) -> np.ndarray:
@@ -197,7 +201,8 @@ def ood_score(clf, x) -> float:
 
 
 def predict_labels(clf, xs) -> np.ndarray:
-    return np.argmax(_logits(clf.params, _check_rows(clf, xs)), axis=1)
+    """The arg-max class of each row's logits, the same whatever the batch."""
+    return np.argmax(_row_logits(clf.params, _check_rows(clf, xs))[:, 0], axis=1)
 
 
 def ood_regularization_loss(clf, id_batch, ood_batch) -> float:

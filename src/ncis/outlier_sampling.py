@@ -10,6 +10,13 @@ Because the proposal covariance is the regularized one, raising ``lam``
 inflates precisely the collapsed invariant dimensions, pushing accepted
 samples further off the class manifold; the threshold recalibrates itself
 from the training quantiles at every ``lam``.
+
+Proposals are drawn in blocks: ``rng.standard_normal((B, D))`` fills a block
+in the same order as ``B`` one-row draws, every proposal's log-density is the
+same whatever it is batched with, and the first ``n`` accepted proposals are
+kept.  So a class accepts exactly the proposals that drawing and testing them
+one at a time would accept, from the same per-class stream, and the surplus
+drawn past the ``n``-th acceptance is never used.
 """
 
 from __future__ import annotations
@@ -20,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cvpn
-from .density import log_density_v
+from .density import log_density_v_batch
 from .errors import ContractError, SamplingError
+
+BLOCK = 1024  # proposals drawn and scored per step of the sampler
 
 
 @dataclass
@@ -54,27 +63,46 @@ def acceptance_threshold(bank, label, q) -> float:
     return float(np.quantile(bank.train_logdens[lab], q))
 
 
-def rejection_sample_invariant(bank, label, q, max_attempts, rng, threshold=None):
-    """Draw one accepted invariant-space outlier.
+def rejection_sample_invariant(bank, label, q, max_attempts, rng, threshold=None, n=1):
+    """Draw the first ``n`` accepted invariant-space outliers of one class.
 
-    Returns ``(v, log_density, attempts_used)``.  ``threshold`` overrides the
-    quantile rule (pass ``np.inf`` to accept the first draw).
+    Proposals are drawn ``BLOCK`` at a time (fewer when less of the budget
+    remains) and scored in one call.  Returns ``(vs, log_densities,
+    attempts)``: the accepted proposals in draw order, their log-densities,
+    and the number of proposals up to and including the ``n``-th accepted
+    one.  ``threshold`` overrides the quantile rule (pass ``np.inf`` to
+    accept every draw).  Raises :class:`SamplingError` when fewer than ``n``
+    of the first ``max_attempts`` proposals are accepted.
     """
     if threshold is None:
         threshold = acceptance_threshold(bank, label, q)
     lab = int(label)
+    max_attempts = int(max_attempts)
     if max_attempts < 1:
         raise ContractError("max_attempts must be at least 1")
+    if n < 1:
+        raise ContractError("n must be at least 1")
     mu = bank.means[lab]
     chol = bank.cholesky[lab]
-    for attempt in range(1, int(max_attempts) + 1):
-        v = mu + chol @ rng.standard_normal(bank.dim)
-        ld = log_density_v(bank, v, lab)
-        if ld < threshold:
-            return v, ld, attempt
+    vs, lds = [], []
+    found = 0
+    used = 0
+    while used < max_attempts:
+        size = min(BLOCK, max_attempts - used)
+        z = rng.standard_normal((size, bank.dim))
+        # a stack of matrix-vector products: each row equals ``chol @ z[i]``
+        v = mu + (chol @ z[:, :, None])[:, :, 0]
+        ld = log_density_v_batch(bank, v, lab)
+        hit = np.flatnonzero(ld < threshold)[:n - found]
+        vs.append(v[hit])
+        lds.append(ld[hit])
+        found += hit.size
+        if found == n:
+            return np.concatenate(vs), np.concatenate(lds), used + int(hit[-1]) + 1
+        used += size
     raise SamplingError(
-        f"class {lab}: no proposal accepted in {max_attempts} attempts "
-        f"(acceptance rate 0.0, q={q}); threshold too strict for the fitted geometry")
+        f"class {lab}: accepted {found}/{n} outliers in {max_attempts} attempts "
+        f"(acceptance rate {found / max_attempts:.5f}, q={q})")
 
 
 def default_max_attempts(n_per_class, q) -> int:
@@ -97,44 +125,19 @@ def synthesize_outliers(model, bank, n_per_class, q=0.05, max_attempts=None, see
     if max_attempts is None:
         max_attempts = default_max_attempts(n_per_class, q)
 
-    all_vs = []
+    embeddings = []
     all_lds = []
     all_labels = []
     attempts = np.zeros(bank.class_count, dtype=np.int64)
 
     for label in range(bank.class_count):
         rng = np.random.default_rng(seed ^ label)
-        threshold = acceptance_threshold(bank, label, q)
-        used = 0
-        accepted = []
-        lds = []
-        for _ in range(n_per_class):
-            remaining = max_attempts - used
-            if remaining <= 0:
-                break
-            try:
-                v, ld, att = rejection_sample_invariant(
-                    bank, label, q, remaining, rng, threshold=threshold)
-            except SamplingError:
-                used = max_attempts
-                break
-            used += att
-            accepted.append(v)
-            lds.append(ld)
-        attempts[label] = used
-        if len(accepted) < n_per_class:
-            rate = len(accepted) / max(used, 1)
-            raise SamplingError(
-                f"class {label}: accepted {len(accepted)}/{n_per_class} outliers in "
-                f"{used} attempts (acceptance rate {rate:.5f}, q={q})")
-        all_vs.append(np.asarray(accepted))
-        all_lds.append(np.asarray(lds))
-        all_labels.append(np.full(n_per_class, label, dtype=np.int64))
-
-    embeddings = []
-    for label, vs in enumerate(all_vs):
-        labels = np.full(vs.shape[0], label, dtype=np.int64)
+        vs, lds, attempts[label] = rejection_sample_invariant(
+            bank, label, q, max_attempts, rng, n=n_per_class)
+        labels = np.full(n_per_class, label, dtype=np.int64)
         embeddings.append(cvpn.cvpn_inverse_batch(model, vs, labels))
+        all_lds.append(lds)
+        all_labels.append(labels)
 
     return OutlierSet(
         embeddings=np.concatenate(embeddings, axis=0),
@@ -145,11 +148,6 @@ def synthesize_outliers(model, bank, n_per_class, q=0.05, max_attempts=None, see
         seed=int(seed),
         attempts=attempts,
     )
-
-
-def outlier_embedding(model, v, label):
-    """Map one accepted invariant-space point back to embedding space."""
-    return cvpn.cvpn_inverse(model, v, label)
 
 
 def mean_invariant_magnitude(model, outliers: OutlierSet) -> float:

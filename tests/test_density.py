@@ -81,6 +81,18 @@ def test_log_density_matches_dense_inverse_oracle():
         assert density.log_density_v(bank, v, label) == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 12, 16])
+def test_log_density_rows_independent_of_batch(dim):
+    rng = np.random.default_rng(40 + dim)
+    pts = rng.standard_normal((200, dim)) @ rng.standard_normal((dim, dim))
+    bank = density.fit_class_gaussians(pts, np.zeros(200, dtype=int), lam=1e-4)
+    vs = rng.standard_normal((300, dim)) * 3.0
+    batch = density.log_density_v_batch(bank, vs, 0)
+    assert np.array_equal(batch, [density.log_density_v(bank, v, 0) for v in vs])
+    perm = rng.permutation(vs.shape[0])
+    assert np.array_equal(density.log_density_v_batch(bank, vs[perm], 0), batch[perm])
+
+
 def test_log_density_unknown_class():
     bank = density.fit_class_gaussians(np.array([[0.0], [1.0]]), np.zeros(2, dtype=int), lam=0.1)
     with pytest.raises(ContractError):

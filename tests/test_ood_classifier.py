@@ -147,6 +147,15 @@ def test_score_batch_context_invariant(toy_run):
     assert np.array_equal(np.array(solo), batch)
 
 
+def test_predict_labels_batch_context_invariant(toy_run):
+    xs = toy_run.bench.heldout.embeddings
+    solo = [oc.predict_labels(toy_run.clf_beta1, x[None])[0] for x in xs]
+    assert np.array_equal(np.array(solo), oc.predict_labels(toy_run.clf_beta1, xs))
+    logits = oc._row_logits(toy_run.clf_beta1.params, xs)
+    for i in (0, len(xs) // 2, len(xs) - 1):
+        assert np.array_equal(oc._row_logits(toy_run.clf_beta1.params, xs[i:i + 1]), logits[i:i + 1])
+
+
 def test_trained_scores_separate_id_from_outliers(toy_run):
     id_scores = oc.ood_scores(toy_run.clf_beta1, toy_run.bench.heldout.embeddings)
     out_scores = oc.ood_scores(toy_run.clf_beta1, toy_run.outliers.embeddings)

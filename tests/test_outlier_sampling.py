@@ -13,24 +13,20 @@ def one_d_bank(n=20000, seed=0, lam=1e-5):
 
 def test_threshold_override_accepts_first_draw():
     bank, _ = one_d_bank(n=100)
-    v, ld, attempts = osmp.rejection_sample_invariant(
+    vs, lds, attempts = osmp.rejection_sample_invariant(
         bank, 0, q=0.05, max_attempts=10, rng=np.random.default_rng(1), threshold=np.inf)
     assert attempts == 1
-    assert np.isfinite(ld)
+    assert vs.shape == (1, 1)
+    assert np.isfinite(lds[0])
 
 
 def test_one_d_tail_acceptance_matches_analytic_quantile():
     bank, pts = one_d_bank()
     q = 0.05
     cutoff = np.quantile(np.abs(pts[:, 0] - bank.means[0, 0]), 1.0 - q)
-    rng = np.random.default_rng(2)
-    accepted = []
-    attempts_total = 0
-    for _ in range(500):
-        v, ld, att = osmp.rejection_sample_invariant(bank, 0, q, 100000, rng)
-        accepted.append(v[0])
-        attempts_total += att
-    accepted = np.abs(np.array(accepted) - bank.means[0, 0])
+    vs, _, attempts_total = osmp.rejection_sample_invariant(
+        bank, 0, q, 100000, np.random.default_rng(2), n=500)
+    accepted = np.abs(vs[:, 0] - bank.means[0, 0])
     # every accepted draw sits beyond the (1-q) magnitude quantile of the data
     assert accepted.min() > cutoff * 0.999
     rate = len(accepted) / attempts_total
@@ -41,7 +37,7 @@ def test_rejection_deterministic_under_seed():
     bank, _ = one_d_bank(n=500)
     a = osmp.rejection_sample_invariant(bank, 0, 0.05, 10000, np.random.default_rng(42))
     b = osmp.rejection_sample_invariant(bank, 0, 0.05, 10000, np.random.default_rng(42))
-    assert np.array_equal(a[0], b[0]) and a[1] == b[1] and a[2] == b[2]
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
 
 
 def test_sampling_failure_reports_rate():
@@ -87,8 +83,8 @@ def test_exhausted_budget_raises_with_diagnostics(toy_run):
 
 def test_outlier_embedding_identity_model():
     model = cvpn.build_cvpn(2, 1, 2, 2, 8, 0)
-    v = np.array([0.4, -1.1])
-    assert np.array_equal(osmp.outlier_embedding(model, v, 1), v)
+    v = np.array([[0.4, -1.1]])
+    assert np.array_equal(cvpn.cvpn_inverse_batch(model, v, np.array([1])), v)
 
 
 def test_outlier_round_trip_and_density_identity(toy_run):
