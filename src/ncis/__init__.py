@@ -9,9 +9,11 @@ classifier whose learned scoring head separates ID from OOD.
 
 from .autodiff import eval_and_grad, finite_diff_grad
 from .config import RunConfig, load_config, parse_config
-from .cvpn import CvpnModel, build_cvpn, cvpn_forward, cvpn_inverse, invariants, jacobian_det_fd
+from .cvpn import (CvpnModel, build_cvpn, cvpn_forward_batch, cvpn_inverse_batch,
+                   invariants_batch, jacobian_det_fd)
 from .data import LabeledEmbeddingSet
-from .density import ClassGaussianBank, fit_class_gaussians, log_density_e, log_density_v
+from .density import (ClassGaussianBank, fit_class_gaussians, log_density_e_batch,
+                      log_density_v_batch)
 from .embedding import (Denoiser, EmbedConfig, LinearToyDenoiser, NoiseSchedule,
                         embed_dataset, embed_sample, forward_noise)
 from .errors import (ArtifactError, ContractError, NcisError, NumericError,
@@ -19,8 +21,8 @@ from .errors import (ArtifactError, ContractError, NcisError, NumericError,
 from .evalharness import ScoreSample, ToyBenchmark, auroc, fpr_at_tpr, make_toy_benchmark
 from .invariant_training import TrainConfig, invariant_loss, select_num_invariants, train_cvpn
 from .ood_classifier import (ClassifierConfig, EnergyClassifier, RegularizedLossReport,
-                             build_energy_classifier, energy, ood_regularization_loss,
-                             ood_score, total_loss, train_energy_classifier)
+                             build_energy_classifier, ood_regularization_loss, ood_scores,
+                             sample_energies, total_loss, train_energy_classifier)
 from .outlier_sampling import OutlierSet, rejection_sample_invariant, synthesize_outliers
 from .pipeline import run_pipeline, sweep_lambda
 

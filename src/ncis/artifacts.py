@@ -40,13 +40,7 @@ def write_record(path, kind, meta, arrays):
             raise ContractError(f"array '{name}' has unsupported rank {arr.ndim}")
         shape = " ".join(str(s) for s in arr.shape)
         lines.append(f"array {name} {arr.ndim}{' ' + shape if shape else ''}")
-        if arr.ndim == 0:
-            lines.append(_fmt(arr[()]))
-        elif arr.ndim == 1:
-            lines.append(" ".join(_fmt(v) for v in arr))
-        else:
-            for row in arr:
-                lines.append(" ".join(_fmt(v) for v in row))
+        lines.extend(" ".join(_fmt(v) for v in row) for row in np.atleast_2d(arr))
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
@@ -95,8 +89,8 @@ def read_record(path, kind):
                 raise ArtifactError(f"{path}: bad shape for array '{name}'") from err
             if len(shape) != ndim:
                 raise ArtifactError(f"{path}: rank/shape mismatch for array '{name}'")
-            rows = 1 if ndim < 2 else shape[0]
-            want = 1 if ndim == 0 else shape[-1] if ndim == 1 else shape[1]
+            rows = shape[0] if ndim == 2 else 1
+            want = shape[-1] if ndim else 1
             values = []
             for r in range(rows):
                 i += 1
@@ -110,14 +104,7 @@ def read_record(path, kind):
                     values.append([float(v) for v in row])
                 except ValueError as err:
                     raise ArtifactError(f"{path}: array '{name}' has a non-numeric value") from err
-            arr = np.asarray(values, dtype=np.float64)
-            if ndim == 0:
-                arr = arr.reshape(())
-            elif ndim == 1:
-                arr = arr.reshape(shape)
-            else:
-                arr = arr.reshape(shape)
-            arrays[name] = arr
+            arrays[name] = np.asarray(values, dtype=np.float64).reshape(shape)
             i += 1
             continue
         raise ArtifactError(f"{path}: unrecognized line {i + 1}: {line!r}")
@@ -126,22 +113,36 @@ def read_record(path, kind):
     return meta, arrays
 
 
-def _meta_int(path, meta, key):
+def _field(path, fields, key, cast=int):
+    """``cast(fields[key])``, where ``fields`` holds the meta lines of a record
+    or the comment lines of a CSV; raises ArtifactError naming the file when
+    the field is missing or malformed."""
     try:
-        return int(meta[key])
+        return cast(fields[key])
     except KeyError as err:
-        raise ArtifactError(f"{path}: missing meta field '{key}'") from err
+        raise ArtifactError(f"{path}: missing field '{key}'") from err
     except ValueError as err:
-        raise ArtifactError(f"{path}: meta field '{key}' is not an integer") from err
+        raise ArtifactError(f"{path}: field '{key}' is malformed: {fields[key]!r}") from err
 
 
-def _meta_float(path, meta, key):
-    try:
-        return float(meta[key])
-    except KeyError as err:
-        raise ArtifactError(f"{path}: missing meta field '{key}'") from err
-    except ValueError as err:
-        raise ArtifactError(f"{path}: meta field '{key}' is not a number") from err
+def _comment_fields(comments):
+    # "key value" comment lines; a stripped line with a space has both parts
+    return dict(c.split(maxsplit=1) for c in comments if " " in c)
+
+
+def _checked_params(path, params, arrays):
+    """The arrays named like ``params``, each of the same shape; any other
+    array in the file is rejected."""
+    for name, expected in params.items():
+        if name not in arrays:
+            raise ArtifactError(f"{path}: missing parameter array '{name}'")
+        if arrays[name].shape != expected.shape:
+            raise ArtifactError(
+                f"{path}: parameter '{name}' has shape {arrays[name].shape}, expected {expected.shape}")
+    extra = set(arrays) - set(params)
+    if extra:
+        raise ArtifactError(f"{path}: unexpected parameter array '{sorted(extra)[0]}'")
+    return {name: arrays[name] for name in params}
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +164,14 @@ def save_cvpn(model: CvpnModel, path):
 def load_cvpn(path) -> CvpnModel:
     meta, arrays = read_record(path, "cvpn")
     model = build_cvpn(
-        dim=_meta_int(path, meta, "dim"),
-        num_invariants=_meta_int(path, meta, "num_invariants"),
-        num_blocks=_meta_int(path, meta, "num_blocks"),
-        class_count=_meta_int(path, meta, "class_count"),
-        hidden_width=_meta_int(path, meta, "hidden_width"),
-        seed=_meta_int(path, meta, "seed"),
+        dim=_field(path, meta, "dim"),
+        num_invariants=_field(path, meta, "num_invariants"),
+        num_blocks=_field(path, meta, "num_blocks"),
+        class_count=_field(path, meta, "class_count"),
+        hidden_width=_field(path, meta, "hidden_width"),
+        seed=_field(path, meta, "seed"),
     )
-    for name, expected in model.params.items():
-        if name not in arrays:
-            raise ArtifactError(f"{path}: missing parameter array '{name}'")
-        if arrays[name].shape != expected.shape:
-            raise ArtifactError(
-                f"{path}: parameter '{name}' has shape {arrays[name].shape}, expected {expected.shape}")
-    extra = set(arrays) - set(model.params)
-    if extra:
-        raise ArtifactError(f"{path}: unexpected parameter array '{sorted(extra)[0]}'")
-    model.params = {name: arrays[name] for name in model.params}
+    model.params = _checked_params(path, model.params, arrays)
     return model
 
 
@@ -195,9 +187,9 @@ def save_bank(bank: ClassGaussianBank, path):
 
 def load_bank(path) -> ClassGaussianBank:
     meta, arrays = read_record(path, "bank")
-    lam = _meta_float(path, meta, "lam")
-    class_count = _meta_int(path, meta, "class_count")
-    dim = _meta_int(path, meta, "dim")
+    lam = _field(path, meta, "lam", float)
+    class_count = _field(path, meta, "class_count")
+    dim = _field(path, meta, "dim")
     if lam <= 0:
         raise ArtifactError(f"{path}: meta field 'lam' must be positive")
     means = np.empty((class_count, dim))
@@ -238,20 +230,14 @@ def save_classifier(clf: EnergyClassifier, path):
 def load_classifier(path) -> EnergyClassifier:
     meta, arrays = read_record(path, "classifier")
     clf = build_energy_classifier(
-        dim=_meta_int(path, meta, "dim"),
-        class_count=_meta_int(path, meta, "class_count"),
-        hidden_width=_meta_int(path, meta, "hidden_width"),
-        phi_hidden=_meta_int(path, meta, "phi_hidden"),
-        beta=_meta_float(path, meta, "beta"),
-        seed=_meta_int(path, meta, "seed"),
+        dim=_field(path, meta, "dim"),
+        class_count=_field(path, meta, "class_count"),
+        hidden_width=_field(path, meta, "hidden_width"),
+        phi_hidden=_field(path, meta, "phi_hidden"),
+        beta=_field(path, meta, "beta", float),
+        seed=_field(path, meta, "seed"),
     )
-    for name, expected in clf.params.items():
-        if name not in arrays:
-            raise ArtifactError(f"{path}: missing parameter array '{name}'")
-        if arrays[name].shape != expected.shape:
-            raise ArtifactError(
-                f"{path}: parameter '{name}' has shape {arrays[name].shape}, expected {expected.shape}")
-    clf.params = {name: arrays[name] for name in clf.params}
+    clf.params = _checked_params(path, clf.params, arrays)
     return clf
 
 
@@ -297,13 +283,7 @@ def save_embeddings_csv(data: LabeledEmbeddingSet, path):
 
 def load_embeddings_csv(path) -> LabeledEmbeddingSet:
     comments, header, rows = _read_csv(path, "embeddings")
-    class_count = None
-    for c in comments:
-        parts = c.split()
-        if len(parts) == 2 and parts[0] == "class_count":
-            class_count = int(parts[1])
-    if class_count is None:
-        raise ArtifactError(f"{path}: missing class_count comment")
+    class_count = _field(path, _comment_fields(comments), "class_count")
     dim = len(header) - 2
     if dim < 1 or header[:2] != ["index", "label"]:
         raise ArtifactError(f"{path}: malformed embeddings header")
@@ -335,6 +315,8 @@ def load_points_csv(path) -> np.ndarray:
         raise ArtifactError(f"{path}: malformed points row") from err
     if pts.size == 0:
         pts = pts.reshape(0, dim)
+    if not np.isfinite(pts).all():
+        raise ArtifactError(f"{path}: points contain non-finite values")
     return pts
 
 
@@ -356,14 +338,12 @@ def load_outliers_csv(path) -> OutlierSet:
     if len(header) < 4 or header[0] != "class" or header[-3:] != ["log_density", "lambda", "q"]:
         raise ArtifactError(f"{path}: malformed outliers header")
     dim = len(header) - 4
-    seed = 0
+    fields = _comment_fields(comments)
+    seed = _field(path, fields, "seed") if "seed" in fields else 0
     attempts = None
-    for c in comments:
-        parts = c.split()
-        if parts and parts[0] == "seed":
-            seed = int(parts[1])
-        if parts and parts[0] == "attempts":
-            attempts = np.array([int(v) for v in parts[1:]], dtype=np.int64)
+    if "attempts" in fields:
+        attempts = _field(path, fields, "attempts",
+                          lambda text: np.array([int(v) for v in text.split()], dtype=np.int64))
     try:
         labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
         emb = np.array([[float(v) for v in r[1:1 + dim]] for r in rows], dtype=np.float64)
@@ -424,42 +404,3 @@ def save_sweep_csv(rows, path):
     header = ["lambda", "fpr95", "auroc", "accuracy", "mean_invariant_magnitude"]
     body = [[_fmt(l), _fmt(f), _fmt(a), _fmt(acc), _fmt(m)] for l, f, a, acc, m in rows]
     _write_csv(path, "sweep", [], header, body)
-
-
-# ---------------------------------------------------------------------------
-# kind dispatch
-# ---------------------------------------------------------------------------
-
-_SAVERS = {
-    "cvpn": save_cvpn,
-    "bank": save_bank,
-    "classifier": save_classifier,
-    "outliers": save_outliers_csv,
-    "embeddings": save_embeddings_csv,
-    "points": save_points_csv,
-    "metrics": save_metrics_csv,
-    "loss-history": save_loss_history_csv,
-}
-
-_LOADERS = {
-    "cvpn": load_cvpn,
-    "bank": load_bank,
-    "classifier": load_classifier,
-    "outliers": load_outliers_csv,
-    "embeddings": load_embeddings_csv,
-    "points": load_points_csv,
-    "metrics": load_metrics_csv,
-    "loss-history": load_loss_history_csv,
-}
-
-
-def save_artifact(path, kind, obj):
-    if kind not in _SAVERS:
-        raise ContractError(f"unknown artifact kind '{kind}'")
-    _SAVERS[kind](obj, path)
-
-
-def load_artifact(path, kind):
-    if kind not in _LOADERS:
-        raise ContractError(f"unknown artifact kind '{kind}'")
-    return _LOADERS[kind](path)

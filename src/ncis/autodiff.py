@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over a small, fixed operation set.
 
-Values are float64 numpy arrays: scalars (shape ``()``), vectors ``(n,)``,
-sample batches ``(B, n)`` and parameter matrices ``(m, n)``.  Every operation
-accepts plain arrays as well as :class:`Node` instances, so model code is
-written once and runs both in inference mode (arrays in, arrays out) and in
-training mode (nodes in, a tape out).
+Values are float64 numpy arrays: scalars (shape ``()``), parameter vectors
+and matrices, and sample batches ``(B, n)``.  The row-wise operations
+(``pick``, ``embed_rows``, ``cayley_matvec``) take batches only; ``matvec``
+also takes the single vector that the embedding loop optimizes.  Every
+operation accepts plain arrays as well as :class:`Node` instances: arrays in
+give arrays out with nothing recorded, which is how the cVPN's forward and
+inverse maps run, and nodes in give a tape.
 
 The numeric primitives are addition, elementwise multiplication,
 matrix-vector products, tanh, log-sigmoid, log-sum-exp, sum-of-squares and a
@@ -18,8 +20,10 @@ The tape is the reference for the gradients the models train with: the two
 training loops use hand-written batched backward passes
 (``invariant_training.invariant_loss_and_grad`` and
 ``ood_classifier.classifier_loss_and_grad``), which the test suite checks
-against this tape, and the tape against central finite differences.  The
-embedding loop, whose denoiser is pluggable, trains on the tape directly.
+against the tape versions of the same losses (built on ``cvpn.apply_blocks``
+and on ``ood_classifier._ce_term`` and ``_ood_term``), and the tape against
+central finite differences.  The embedding loop, whose denoiser is
+pluggable, trains on the tape directly.
 """
 
 from __future__ import annotations
@@ -235,64 +239,38 @@ def concat(a, b):
 
 
 def pick(x, index):
-    """Select one entry of the last axis: ``x[i]`` or ``x[arange(B), idx]``."""
+    """Select one entry of the last axis per batch row: ``x[arange(B), idx]``."""
     xv = value_of(x)
-    if xv.ndim == 1:
-        i = int(index)
-        if not 0 <= i < xv.shape[0]:
-            raise ContractError(f"pick index {i} out of range for shape {xv.shape}")
-        out = xv[i]
+    idx = np.asarray(index, dtype=np.int64)
+    if xv.ndim != 2 or idx.shape != (xv.shape[0],):
+        raise ContractError(f"pick needs a (B, n) batch and one index per row, got {xv.shape}")
+    if np.any(idx < 0) or np.any(idx >= xv.shape[1]):
+        raise ContractError("pick index out of range")
+    rows = np.arange(xv.shape[0])
+    out = xv[rows, idx]
 
-        def vjp_all(g):
-            z = np.zeros_like(xv)
-            z[i] = g
-            return (z,)
+    def vjp_all(g):
+        z = np.zeros_like(xv)
+        z[rows, idx] = g
+        return (z,)
 
-    elif xv.ndim == 2:
-        idx = np.asarray(index, dtype=np.int64)
-        if idx.shape != (xv.shape[0],):
-            raise ContractError("pick needs one index per batch row")
-        if np.any(idx < 0) or np.any(idx >= xv.shape[1]):
-            raise ContractError("pick index out of range")
-        rows = np.arange(xv.shape[0])
-        out = xv[rows, idx]
-
-        def vjp_all(g):
-            z = np.zeros_like(xv)
-            z[rows, idx] = g
-            return (z,)
-
-    else:
-        raise ContractError(f"pick expects a vector or batch, got ndim {xv.ndim}")
     return _record("pick", out, (x,), vjp_all)
 
 
 def embed_rows(table, index):
-    """Row lookup in a ``(C, E)`` table: one row, or a batch of rows."""
+    """Row lookup in a ``(C, E)`` table, one row per index."""
     tv = value_of(table)
     if tv.ndim != 2:
         raise ContractError("embed_rows expects a 2-d table")
-    if np.ndim(index) == 0:
-        i = int(index)
-        if not 0 <= i < tv.shape[0]:
-            raise ContractError(f"embed_rows index {i} out of range")
-        out = tv[i].copy()
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= tv.shape[0]):
+        raise ContractError("embed_rows index out of range")
+    out = tv[idx]
 
-        def vjp_all(g):
-            z = np.zeros_like(tv)
-            z[i] = g
-            return (z,)
-
-    else:
-        idx = np.asarray(index, dtype=np.int64)
-        if idx.ndim != 1 or np.any(idx < 0) or np.any(idx >= tv.shape[0]):
-            raise ContractError("embed_rows index out of range")
-        out = tv[idx]
-
-        def vjp_all(g):
-            z = np.zeros_like(tv)
-            np.add.at(z, idx, g)
-            return (z,)
+    def vjp_all(g):
+        z = np.zeros_like(tv)
+        np.add.at(z, idx, g)
+        return (z,)
 
     return _record("embed_rows", out, (table,), vjp_all)
 
@@ -361,7 +339,7 @@ def cayley_adjoint(q, x, g, transpose=False):
 
 
 def cayley_matvec(flat, x, transpose=False):
-    """Apply the Cayley rotation of ``flat`` to ``x`` (or its transpose).
+    """Apply the Cayley rotation of ``flat`` (or its transpose) to each row of ``x``.
 
     The rotation matrix is an exact function of the skew parameters, so the
     adjoint with respect to ``flat`` is computed analytically
@@ -369,25 +347,12 @@ def cayley_matvec(flat, x, transpose=False):
     every other primitive.
     """
     xv = value_of(x)
+    if xv.ndim != 2:
+        raise ContractError(f"cayley_matvec expects a (B, n) batch, got shape {xv.shape}")
     q = cayley_rotation(flat, xv.shape[-1], transpose)
-
-    if xv.ndim == 1:
-        out = q @ xv
-
-        def vjp_all(g):
-            gs, gx = cayley_adjoint(q, xv[None], np.asarray(g, dtype=np.float64)[None],
-                                    transpose)
-            return (gs, gx[0])
-
-    elif xv.ndim == 2:
-        out = xv @ q.T
-
-        def vjp_all(g):
-            return cayley_adjoint(q, xv, np.asarray(g, dtype=np.float64), transpose)
-
-    else:
-        raise ContractError(f"cayley_matvec expects a vector or batch, got ndim {xv.ndim}")
-    return _record("cayley_matvec", out, (flat, x), vjp_all)
+    out = xv @ q.T
+    return _record("cayley_matvec", out, (flat, x),
+                   lambda g: cayley_adjoint(q, xv, np.asarray(g, dtype=np.float64), transpose))
 
 
 # ---------------------------------------------------------------------------

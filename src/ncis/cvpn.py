@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
+from .mlp import tape_tanh_mlp
 
 
 def ceil_half(dim: int) -> int:
@@ -88,14 +89,6 @@ def translation_layers(P, block):
     return [(P[f"{base}w{j}"], P[f"{base}b{j}"]) for j in (1, 2, 3)]
 
 
-def _translation(P, block, x_rest, class_rows):
-    tin = ad.concat(x_rest, class_rows)
-    (w1, b1), (w2, b2), (w3, b3) = translation_layers(P, block)
-    h1 = ad.tanh(ad.add(ad.matvec(w1, tin), b1))
-    h2 = ad.tanh(ad.add(ad.matvec(w2, h1), b2))
-    return ad.add(ad.matvec(w3, h2), b3)
-
-
 def coupling_shift(x, translation, split, sign=1.0):
     """Shift the first ``split`` coordinates by ``translation``; keep the rest."""
     head = ad.narrow(x, 0, split)
@@ -108,7 +101,7 @@ def _coupling(model, P, block, x, labels, sign):
     d = ceil_half(model.dim)
     rest = ad.narrow(x, d, model.dim)
     rows = ad.embed_rows(P["class_embed"], labels)
-    t = _translation(P, block, rest, rows)
+    t = tape_tanh_mlp(translation_layers(P, block), ad.concat(rest, rows))
     return coupling_shift(x, t, d, sign)
 
 
@@ -126,24 +119,8 @@ def apply_blocks(model, P, x, labels, inverse=False):
 
 
 # ---------------------------------------------------------------------------
-# public single-vector and batch interfaces
+# public batch interface
 # ---------------------------------------------------------------------------
-
-def _check_vector(model, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ContractError(f"expected a vector of dimension {model.dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ContractError("input vector must be finite")
-    return x
-
-
-def _check_label(model, label):
-    lab = int(label)
-    if not 0 <= lab < model.class_count:
-        raise ContractError(f"unknown class label {label!r} (class_count={model.class_count})")
-    return lab
-
 
 def _check_batch(model, xs, labels):
     xs = np.asarray(xs, dtype=np.float64)
@@ -155,18 +132,6 @@ def _check_batch(model, xs, labels):
     if labels.size and (labels.min() < 0 or labels.max() >= model.class_count):
         raise ContractError("unknown class label in batch")
     return xs, labels
-
-
-def cvpn_forward(model, e, label):
-    e = _check_vector(model, e)
-    lab = _check_label(model, label)
-    return apply_blocks(model, model.params, e, lab)
-
-
-def cvpn_inverse(model, v, label):
-    v = _check_vector(model, v)
-    lab = _check_label(model, label)
-    return apply_blocks(model, model.params, v, lab, inverse=True)
 
 
 def cvpn_forward_batch(model, xs, labels):
@@ -183,61 +148,26 @@ def cvpn_inverse_batch(model, vs, labels):
     return apply_blocks(model, model.params, vs, labels, inverse=True)
 
 
-def invariants(model, e, label):
-    """First ``num_invariants`` coordinates of the forward map."""
-    return cvpn_forward(model, e, label)[: model.num_invariants]
-
-
 def invariants_batch(model, xs, labels):
+    """First ``num_invariants`` coordinates of the forward map of each row."""
     return cvpn_forward_batch(model, xs, labels)[:, : model.num_invariants]
-
-
-def coupling_forward(model, block, x, label):
-    """Apply only the conditional coupling layer of one block."""
-    x = _check_vector(model, x)
-    lab = _check_label(model, label)
-    return _coupling(model, model.params, block, x, lab, sign=1.0)
-
-
-def coupling_inverse(model, block, y, label):
-    y = _check_vector(model, y)
-    lab = _check_label(model, label)
-    return _coupling(model, model.params, block, y, lab, sign=-1.0)
-
-
-def orthogonal_apply(model, block, x, direction="forward"):
-    """Apply only the orthogonal layer of one block (forward: Qx, inverse: Q^T x)."""
-    x = _check_vector(model, x)
-    if direction not in ("forward", "inverse"):
-        raise ContractError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return ad.cayley_matvec(model.params[f"block{block}.orth_skew"], x,
-                            transpose=(direction == "inverse"))
-
-
-def orthogonal_matrix(model, block):
-    return ad.cayley_rotation(model.params[f"block{block}.orth_skew"], model.dim)
 
 
 MAX_FD_JACOBIAN_DIM = 16
 
 
 def jacobian_det_fd(model, e, label, h=1e-5):
-    """Determinant of the finite-difference Jacobian of the forward map.
+    """Determinant of the central-difference Jacobian of the forward map at ``e``.
 
-    Dense finite differencing only; refuses dimensions above
-    ``MAX_FD_JACOBIAN_DIM``.
+    The 2·D probe rows ``e ± h·I`` go through one forward call.  Dense finite
+    differencing only; refuses dimensions above ``MAX_FD_JACOBIAN_DIM``.
     """
     if model.dim > MAX_FD_JACOBIAN_DIM:
         raise ContractError(
             f"finite-difference Jacobian limited to dim <= {MAX_FD_JACOBIAN_DIM}")
-    e = _check_vector(model, e)
-    lab = _check_label(model, label)
-    jac = np.empty((model.dim, model.dim))
-    for j in range(model.dim):
-        ep = e.copy()
-        ep[j] += h
-        em = e.copy()
-        em[j] -= h
-        jac[:, j] = (apply_blocks(model, model.params, ep, lab)
-                     - apply_blocks(model, model.params, em, lab)) / (2.0 * h)
+    e, labels = _check_batch(model, np.reshape(e, (1, -1)), [label])
+    step = h * np.eye(model.dim)
+    out = cvpn_forward_batch(model, np.concatenate([e + step, e - step]),
+                             np.repeat(labels, 2 * model.dim))
+    jac = (out[:model.dim] - out[model.dim:]).T / (2.0 * h)
     return float(np.linalg.det(jac))

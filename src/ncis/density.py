@@ -104,15 +104,6 @@ def fit_class_gaussians(vectors, labels, lam, class_count=None) -> ClassGaussian
     return ClassGaussianBank(float(lam), means, covs, chols, logdens)
 
 
-def log_density_v(bank, v, label) -> float:
-    """Gaussian log-density of one invariant-space vector: a one-row call of
-    :func:`log_density_v_batch`."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (bank.dim,):
-        raise ContractError(f"expected a vector of dimension {bank.dim}, got shape {v.shape}")
-    return float(log_density_v_batch(bank, v[None], label)[0])
-
-
 def log_density_v_batch(bank, vs, label):
     """Gaussian log-density of each row of ``vs``; each row's value is the
     same whatever it is batched with."""
@@ -123,12 +114,9 @@ def log_density_v_batch(bank, vs, label):
     return _logdens(bank.means[lab], bank.cholesky[lab], vs)
 
 
-def log_density_e(bank, model, e, label) -> float:
-    """Log-density of an embedding: evaluate in invariant space, no Jacobian term."""
-    return log_density_v(bank, cvpn.cvpn_forward(model, e, label), label)
-
-
 def log_density_e_batch(bank, model, es, label):
+    """Log-density of each embedding row: evaluated in invariant space, with
+    no Jacobian term."""
     es = np.asarray(es, dtype=np.float64)
     labels = np.full(es.shape[0], int(label), dtype=np.int64)
     return log_density_v_batch(bank, cvpn.cvpn_forward_batch(model, es, labels), label)

@@ -1,15 +1,19 @@
 """The tanh MLP shared by the coupling translation net, the classifier and
-the scoring head, with its hand-written backward pass.
+the scoring head: a plain forward pass, its hand-written backward pass, and
+the same forward pass written in autodiff operations.
 
 A network is a list of ``(W, b)`` layers: every layer but the last is
-``tanh(h @ W.T + b)`` and the last is linear.  These are the same operations,
-in the same order, as the tape versions in ``cvpn`` and ``ood_classifier``, so
-the forward values agree with the tape bit for bit.
+``tanh(h @ W.T + b)`` and the last is linear.  :func:`tape_tanh_mlp` runs the
+same operations in the same order as :func:`tanh_mlp`, so the tape's forward
+values agree with the plain pass bit for bit; the tape is the reference the
+hand-written backward pass is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import autodiff as ad
 
 
 def tanh_mlp(layers, x):
@@ -28,6 +32,17 @@ def tanh_mlp(layers, x):
         if i < last:
             np.tanh(h, out=h)
     return h, inputs
+
+
+def tape_tanh_mlp(layers, x):
+    """:func:`tanh_mlp`'s forward pass for a batch ``(N, n_in)`` in autodiff
+    operations: plain arrays in give plain arrays out, tape nodes give a tape."""
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        x = ad.add(ad.matvec(w, x), b)
+        if i < last:
+            x = ad.tanh(x)
+    return x
 
 
 def tanh_mlp_backward(layers, inputs, g, grads):

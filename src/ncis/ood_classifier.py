@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
-from .mlp import tanh_mlp, tanh_mlp_backward
+from .mlp import tanh_mlp, tanh_mlp_backward, tape_tanh_mlp
 from .optim import adam_init, adam_update, flatten_params, views_like
 
 
@@ -104,30 +104,17 @@ def _phi_layers(P):
     return [(P[f"phi.w{j}"], P[f"phi.b{j}"]) for j in (1, 2)]
 
 
-def _logits(P, x):
-    (w1, b1), (w2, b2), (w3, b3) = _clf_layers(P)
-    h1 = ad.tanh(ad.add(ad.matvec(w1, x), b1))
-    h2 = ad.tanh(ad.add(ad.matvec(w2, h1), b2))
-    return ad.add(ad.matvec(w3, h2), b3)
-
-
 def _energy_of_logits(logits):
     return ad.neg(ad.logsumexp(logits))
 
 
-def _phi(P, energy):
-    (w1, b1), (w2, b2) = _phi_layers(P)
-    e1 = ad.expand_last(energy)
-    h = ad.tanh(ad.add(ad.matvec(w1, e1), b1))
-    return ad.add(ad.squeeze_last(ad.matvec(w2, h)), b2)
-
-
 def _score(P, x):
-    return _phi(P, _energy_of_logits(_logits(P, x)))
+    energy = _energy_of_logits(tape_tanh_mlp(_clf_layers(P), x))
+    return ad.squeeze_last(tape_tanh_mlp(_phi_layers(P), ad.expand_last(energy)))
 
 
 def _ce_term(P, x, labels):
-    logits = _logits(P, x)
+    logits = tape_tanh_mlp(_clf_layers(P), x)
     per_sample = ad.sub(ad.logsumexp(logits), ad.pick(logits, labels))
     return ad.mean(per_sample)
 
@@ -143,22 +130,6 @@ def _ood_term(P, id_x, ood_x):
 # ---------------------------------------------------------------------------
 # public interface
 # ---------------------------------------------------------------------------
-
-def energy(logits) -> float:
-    """Negative log-sum-exp of a logit vector, computed with max subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size == 0:
-        raise ContractError("energy expects a non-empty logit vector")
-    m = float(np.max(logits))
-    return -(m + math.log(float(np.sum(np.exp(logits - m)))))
-
-
-def _check_input(clf, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (clf.dim,):
-        raise ContractError(f"expected an embedding of dimension {clf.dim}, got shape {x.shape}")
-    return x
-
 
 def _check_rows(clf, xs):
     xs = np.asarray(xs, dtype=np.float64)
@@ -189,15 +160,6 @@ def ood_scores(clf, xs) -> np.ndarray:
     energies = _row_energies(clf.params, _check_rows(clf, xs))
     scores, _ = tanh_mlp(_phi_layers(clf.params), energies[..., None])
     return scores[:, 0, 0]
-
-
-def sample_energy(clf, x) -> float:
-    return float(sample_energies(clf, _check_input(clf, x)[None])[0])
-
-
-def ood_score(clf, x) -> float:
-    """The score of one embedding: a one-row call of ``ood_scores``."""
-    return float(ood_scores(clf, _check_input(clf, x)[None])[0])
 
 
 def predict_labels(clf, xs) -> np.ndarray:

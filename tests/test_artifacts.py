@@ -3,7 +3,7 @@ import pytest
 
 from ncis import artifacts, cvpn, density, ood_classifier
 from ncis.data import LabeledEmbeddingSet
-from ncis.errors import ArtifactError, ContractError
+from ncis.errors import ArtifactError
 from ncis.outlier_sampling import OutlierSet
 
 
@@ -12,11 +12,10 @@ def test_cvpn_round_trip_identical_outputs(trained_model, tmp_path):
     artifacts.save_cvpn(trained_model, path)
     loaded = artifacts.load_cvpn(path)
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        e = rng.uniform(-3, 3, trained_model.dim)
-        label = int(rng.integers(0, trained_model.class_count))
-        assert np.array_equal(cvpn.cvpn_forward(trained_model, e, label),
-                              cvpn.cvpn_forward(loaded, e, label))
+    es = rng.uniform(-3, 3, (100, trained_model.dim))
+    labels = rng.integers(0, trained_model.class_count, 100)
+    assert np.array_equal(cvpn.cvpn_forward_batch(trained_model, es, labels),
+                          cvpn.cvpn_forward_batch(loaded, es, labels))
 
 
 def test_cvpn_write_read_write_byte_identical(trained_model, tmp_path):
@@ -63,10 +62,10 @@ def test_bank_round_trip(toy_run, tmp_path):
     artifacts.save_bank(toy_run.bank, path)
     loaded = artifacts.load_bank(path)
     assert loaded.lam == toy_run.bank.lam
-    v = np.array([0.1, -0.4])
+    v = np.array([[0.1, -0.4]])
     for label in range(3):
-        assert density.log_density_v(loaded, v, label) == \
-            density.log_density_v(toy_run.bank, v, label)
+        assert np.array_equal(density.log_density_v_batch(loaded, v, label),
+                              density.log_density_v_batch(toy_run.bank, v, label))
     second = tmp_path / "bank2.txt"
     artifacts.save_bank(loaded, second)
     assert path.read_bytes() == second.read_bytes()
@@ -76,11 +75,9 @@ def test_classifier_round_trip(toy_run, tmp_path):
     path = tmp_path / "clf.txt"
     artifacts.save_classifier(toy_run.clf_beta1, path)
     loaded = artifacts.load_classifier(path)
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.uniform(-2, 2, 2)
-        assert ood_classifier.ood_score(loaded, x) == \
-            ood_classifier.ood_score(toy_run.clf_beta1, x)
+    xs = np.random.default_rng(1).uniform(-2, 2, (20, 2))
+    assert np.array_equal(ood_classifier.ood_scores(loaded, xs),
+                          ood_classifier.ood_scores(toy_run.clf_beta1, xs))
 
 
 def test_embeddings_csv_round_trip(toy_bench, tmp_path):
@@ -125,17 +122,6 @@ def test_loss_history_round_trip(tmp_path):
     assert np.array_equal(artifacts.load_loss_history_csv(path), hist)
 
 
-def test_kind_dispatch(tmp_path, toy_bench):
-    path = tmp_path / "emb.csv"
-    artifacts.save_artifact(path, "embeddings", toy_bench.heldout)
-    loaded = artifacts.load_artifact(path, "embeddings")
-    assert isinstance(loaded, LabeledEmbeddingSet)
-    with pytest.raises(ContractError):
-        artifacts.save_artifact(path, "nonsense", toy_bench.heldout)
-    with pytest.raises(ContractError):
-        artifacts.load_artifact(path, "nonsense")
-
-
 def test_corrupt_csv_rejected(tmp_path):
     path = tmp_path / "emb.csv"
     path.write_text("not,a,real,artifact\n1,2,3,4\n")
@@ -150,3 +136,48 @@ def test_malformed_parameter_shape_rejected(trained_model, tmp_path):
     path.write_text(text)
     with pytest.raises(ArtifactError, match="class_embed"):
         artifacts.load_cvpn(path)
+
+
+@pytest.mark.parametrize("save, load, comment, bad", [
+    ("embeddings", artifacts.load_embeddings_csv, "# class_count 2", "# class_count three"),
+    ("outliers", artifacts.load_outliers_csv, "# seed 7", "# seed seven"),
+    ("outliers", artifacts.load_outliers_csv, "# attempts 10 12", "# attempts 10 x"),
+], ids=["class_count", "seed", "attempts"])
+def test_malformed_csv_comment_rejected(tmp_path, save, load, comment, bad):
+    path = tmp_path / f"{save}.csv"
+    if save == "embeddings":
+        artifacts.save_embeddings_csv(
+            LabeledEmbeddingSet(np.zeros((2, 2)), np.array([0, 1]), 2), path)
+    else:
+        artifacts.save_outliers_csv(OutlierSet(np.zeros((2, 2)), np.array([0, 1]), np.zeros(2),
+                                               1e-5, 0.05, 7, np.array([10, 12])), path)
+    text = path.read_text()
+    assert comment + "\n" in text
+    path.write_text(text.replace(comment + "\n", bad + "\n"))
+    with pytest.raises(ArtifactError, match=path.name):
+        load(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_points_csv_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "ood.csv"
+    artifacts.save_points_csv(np.array([[0.5, -1.0], [2.0, 0.25]]), path)
+    path.write_text(path.read_text().replace("0.25", value))
+    with pytest.raises(ArtifactError, match="ood.csv"):
+        artifacts.load_points_csv(path)
+
+
+@pytest.mark.parametrize("kind", ["cvpn", "classifier"])
+def test_unexpected_parameter_array_rejected(toy_run, tmp_path, kind):
+    path = tmp_path / f"{kind}.txt"
+    if kind == "cvpn":
+        artifacts.save_cvpn(toy_run.model, path)
+        load = artifacts.load_cvpn
+    else:
+        artifacts.save_classifier(toy_run.clf_beta1, path)
+        load = artifacts.load_classifier
+    text = path.read_text()
+    assert text.endswith("\nend\n")
+    path.write_text(text[:-len("end\n")] + "array bogus 1 2\n1.0 2.0\nend\n")
+    with pytest.raises(ArtifactError, match="bogus"):
+        load(path)

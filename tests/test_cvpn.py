@@ -18,10 +18,10 @@ def small_model(dim=2, k=1, blocks=4, classes=3, width=16, seed=0):
 def test_identity_at_init_every_class():
     model = small_model(dim=4, k=2)
     rng = np.random.default_rng(1)
-    for label in range(3):
-        x = rng.standard_normal(4)
-        assert np.array_equal(cvpn.cvpn_forward(model, x, label), x)
-        assert np.array_equal(cvpn.cvpn_inverse(model, x, label), x)
+    xs = rng.standard_normal((3, 4))
+    labels = np.arange(3)
+    assert np.array_equal(cvpn.cvpn_forward_batch(model, xs, labels), xs)
+    assert np.array_equal(cvpn.cvpn_inverse_batch(model, xs, labels), xs)
 
 
 def test_same_seed_identical_parameters():
@@ -57,9 +57,10 @@ def test_translation_mlp_final_layer_zero_initialized():
 
 def test_coupling_identity_when_translation_zero():
     model = small_model(dim=4, k=1)
-    x = np.array([0.3, -1.0, 2.0, 0.5])
-    assert np.array_equal(cvpn.coupling_forward(model, 0, x, 2), x)
-    assert np.array_equal(cvpn.coupling_inverse(model, 0, x, 2), x)
+    x = np.array([[0.3, -1.0, 2.0, 0.5]])
+    label = np.array([2])
+    assert np.array_equal(cvpn._coupling(model, model.params, 0, x, label, sign=1.0), x)
+    assert np.array_equal(cvpn._coupling(model, model.params, 0, x, label, sign=-1.0), x)
 
 
 def test_coupling_shift_hand_example():
@@ -72,55 +73,52 @@ def test_coupling_shift_hand_example():
 
 def test_coupling_round_trip_exact_on_trained_block(trained_model):
     rng = np.random.default_rng(0)
-    for _ in range(1000):
-        x = rng.uniform(-3, 3, trained_model.dim)
-        label = int(rng.integers(0, trained_model.class_count))
-        y = cvpn.coupling_forward(trained_model, 1, x, label)
-        back = cvpn.coupling_inverse(trained_model, 1, y, label)
-        assert np.abs(back - x).max() < 1e-12
+    xs = rng.uniform(-3, 3, (1000, trained_model.dim))
+    labels = rng.integers(0, trained_model.class_count, 1000)
+    P = trained_model.params
+    y = cvpn._coupling(trained_model, P, 1, xs, labels, sign=1.0)
+    back = cvpn._coupling(trained_model, P, 1, y, labels, sign=-1.0)
+    assert np.abs(back - xs).max() < 1e-12
 
 
 # orthogonal layer ----------------------------------------------------------
 
 def test_orthogonal_identity_at_init():
     model = small_model()
-    x = np.array([1.5, -0.25])
-    assert np.array_equal(cvpn.orthogonal_apply(model, 0, x, "forward"), x)
+    x = np.array([[1.5, -0.25]])
+    assert np.array_equal(ad.cayley_matvec(model.params["block0.orth_skew"], x), x)
 
 
 def test_orthogonal_hand_rotation():
     # skew parameter 1 in 2-d gives the quarter-turn rotation
     model = small_model()
     model.params["block0.orth_skew"] = np.array([1.0])
-    q = cvpn.orthogonal_matrix(model, 0)
+    q = ad.cayley_rotation(model.params["block0.orth_skew"], model.dim)
     assert np.allclose(q, np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-14)
-    out = cvpn.orthogonal_apply(model, 0, np.array([1.0, 0.0]), "forward")
-    assert np.allclose(out, np.array([0.0, 1.0]), atol=1e-14)
+    out = ad.cayley_matvec(model.params["block0.orth_skew"], np.array([[1.0, 0.0]]))
+    assert np.allclose(out, np.array([[0.0, 1.0]]), atol=1e-14)
 
 
 def test_orthogonal_preserves_norm_1000_cases():
     rng = np.random.default_rng(2)
-    model = small_model(dim=4, k=1, blocks=1)
     for _ in range(1000):
-        model.params["block0.orth_skew"] = rng.standard_normal(6)
-        x = rng.standard_normal(4)
-        y = cvpn.orthogonal_apply(model, 0, x, "forward")
+        x = rng.standard_normal((1, 4))
+        y = ad.cayley_matvec(rng.standard_normal(6), x)
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-10
 
 
 def test_orthogonal_inverse_is_transpose():
-    model = small_model()
-    model.params["block0.orth_skew"] = np.array([0.37])
-    x = np.array([0.2, -0.8])
-    y = cvpn.orthogonal_apply(model, 0, x, "forward")
-    back = cvpn.orthogonal_apply(model, 0, y, "inverse")
+    skew = np.array([0.37])
+    x = np.array([[0.2, -0.8]])
+    y = ad.cayley_matvec(skew, x)
+    back = ad.cayley_matvec(skew, y, transpose=True)
     assert np.abs(back - x).max() < 1e-14
 
 
-def test_orthogonal_bad_direction():
+def test_orthogonal_rejects_vector_input():
     model = small_model()
     with pytest.raises(ContractError):
-        cvpn.orthogonal_apply(model, 0, np.zeros(2), "sideways")
+        ad.cayley_matvec(model.params["block0.orth_skew"], np.zeros(2))
 
 
 # full model ----------------------------------------------------------------
@@ -135,23 +133,22 @@ def test_forward_round_trip_trained(trained_model):
 
 
 def test_class_conditioning_changes_output(trained_model):
-    e = np.array([0.1, 1.9])
-    out0 = cvpn.cvpn_forward(trained_model, e, 0)
-    out1 = cvpn.cvpn_forward(trained_model, e, 1)
+    e = np.array([[0.1, 1.9], [0.1, 1.9]])
+    out0, out1 = cvpn.cvpn_forward_batch(trained_model, e, np.array([0, 1]))
     assert np.abs(out0 - out1).max() > 1e-6
 
 
 def test_unknown_class_rejected(trained_model):
     with pytest.raises(ContractError):
-        cvpn.cvpn_forward(trained_model, np.zeros(2), 3)
+        cvpn.cvpn_forward_batch(trained_model, np.zeros((1, 2)), np.array([3]))
     with pytest.raises(ContractError):
-        cvpn.cvpn_inverse(trained_model, np.zeros(2), -1)
+        cvpn.cvpn_inverse_batch(trained_model, np.zeros((1, 2)), np.array([-1]))
 
 
 def test_invariants_zero_for_zeroed_coordinates():
     model = small_model(dim=4, k=2)
-    e = np.array([0.0, 0.0, 1.3, -0.4])
-    assert np.array_equal(cvpn.invariants(model, e, 0), np.zeros(2))
+    e = np.array([[0.0, 0.0, 1.3, -0.4]])
+    assert np.array_equal(cvpn.invariants_batch(model, e, np.array([0])), np.zeros((1, 2)))
 
 
 def test_invariants_small_on_id_large_off_manifold(toy_run):
@@ -207,9 +204,9 @@ def test_jacobian_det_dimension_cap():
 def test_round_trip_property_untrained(coords, label):
     model = small_model(seed=9)
     model.params["block0.orth_skew"] = np.array([0.5])
-    e = np.array(coords)
-    v = cvpn.cvpn_forward(model, e, label)
-    assert np.abs(cvpn.cvpn_inverse(model, v, label) - e).max() < 1e-9
+    e = np.array([coords])
+    v = cvpn.cvpn_forward_batch(model, e, np.array([label]))
+    assert np.abs(cvpn.cvpn_inverse_batch(model, v, np.array([label])) - e).max() < 1e-9
 
 
 def test_gradient_through_full_model_matches_fd():

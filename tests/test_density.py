@@ -50,7 +50,7 @@ def test_log_density_standard_normal_peak():
     a = 0.9
     bank = density.fit_class_gaussians(np.array([[-a], [a]]), np.zeros(2, dtype=int),
                                        lam=1.0 - a * a)
-    got = density.log_density_v(bank, np.zeros(1), 0)
+    got = density.log_density_v_batch(bank, np.zeros((1, 1)), 0)[0]
     assert got == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
     assert got == pytest.approx(-0.9189385332046727, abs=1e-9)
 
@@ -59,7 +59,7 @@ def test_log_density_at_mean_is_normalizer():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((40, 3))
     bank = density.fit_class_gaussians(pts, np.zeros(40, dtype=int), lam=1e-3)
-    got = density.log_density_v(bank, bank.means[0], 0)
+    got = density.log_density_v_batch(bank, bank.means[:1], 0)[0]
     sign, logdet = np.linalg.slogdet(bank.covariances[0] + 1e-3 * np.eye(3))
     assert sign > 0
     assert got == pytest.approx(-0.5 * (3 * math.log(2 * math.pi) + logdet), abs=1e-10)
@@ -78,7 +78,7 @@ def test_log_density_matches_dense_inverse_oracle():
         diff = v - bank.means[label]
         _, logdet = np.linalg.slogdet(reg)
         want = -0.5 * (3 * math.log(2 * math.pi) + logdet + diff @ np.linalg.inv(reg) @ diff)
-        assert density.log_density_v(bank, v, label) == pytest.approx(want, abs=1e-10)
+        assert density.log_density_v_batch(bank, v[None], label)[0] == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 12, 16])
@@ -88,7 +88,7 @@ def test_log_density_rows_independent_of_batch(dim):
     bank = density.fit_class_gaussians(pts, np.zeros(200, dtype=int), lam=1e-4)
     vs = rng.standard_normal((300, dim)) * 3.0
     batch = density.log_density_v_batch(bank, vs, 0)
-    assert np.array_equal(batch, [density.log_density_v(bank, v, 0) for v in vs])
+    assert np.array_equal(batch, [density.log_density_v_batch(bank, v[None], 0)[0] for v in vs])
     perm = rng.permutation(vs.shape[0])
     assert np.array_equal(density.log_density_v_batch(bank, vs[perm], 0), batch[perm])
 
@@ -96,7 +96,7 @@ def test_log_density_rows_independent_of_batch(dim):
 def test_log_density_unknown_class():
     bank = density.fit_class_gaussians(np.array([[0.0], [1.0]]), np.zeros(2, dtype=int), lam=0.1)
     with pytest.raises(ContractError):
-        density.log_density_v(bank, np.zeros(1), 1)
+        density.log_density_v_batch(bank, np.zeros((1, 1)), 1)
 
 
 def test_log_density_e_identity_model_equals_v():
@@ -106,8 +106,9 @@ def test_log_density_e_identity_model_equals_v():
     labels = rng.integers(0, 2, 30)
     labels[:2] = [0, 1]
     bank = density.fit_class_gaussians(pts, labels, lam=1e-4, class_count=2)
-    e = rng.standard_normal(2)
-    assert density.log_density_e(bank, model, e, 1) == density.log_density_v(bank, e, 1)
+    e = rng.standard_normal((1, 2))
+    assert np.array_equal(density.log_density_e_batch(bank, model, e, 1),
+                          density.log_density_v_batch(bank, e, 1))
 
 
 def test_id_points_denser_than_off_manifold(toy_run):
@@ -131,7 +132,7 @@ def test_lambda_inflates_zero_variance_direction():
     values = []
     for lam in (1e-6, 1e-5, 1e-4, 1e-3):
         bank = density.fit_class_gaussians(pts, labels, lam=lam)
-        values.append(density.log_density_v(bank, probe + bank.means[0], 0))
+        values.append(density.log_density_v_batch(bank, (probe + bank.means[0])[None], 0)[0])
     assert all(b > a for a, b in zip(values, values[1:]))
 
 

@@ -78,7 +78,7 @@ def test_loss_matches_per_sample_oracle(trained_model):
     got = it.invariant_loss(trained_model, xs, labels)
     per_sample = []
     for x, label in zip(xs, labels):
-        g = cvpn.invariants(trained_model, x, int(label))
+        g = cvpn.invariants_batch(trained_model, x[None], np.array([label]))[0]
         per_sample.append(float(np.sum(g * g)))
     assert got == pytest.approx(np.mean(per_sample), rel=1e-12)
 

@@ -12,30 +12,35 @@ LN2 = math.log(2.0)
 
 # energy --------------------------------------------------------------------
 
+def row_energy(logits):
+    """The batch energy of one row of logits."""
+    return float(oc._energy_of_logits(np.array([logits], dtype=np.float64))[0])
+
+
 def test_energy_two_zero_logits():
-    assert oc.energy(np.array([0.0, 0.0])) == pytest.approx(-LN2, abs=1e-15)
+    assert row_energy([0.0, 0.0]) == pytest.approx(-LN2, abs=1e-15)
 
 
 def test_energy_hand_value():
-    assert oc.energy(np.array([1.0, 0.0])) == pytest.approx(-math.log(math.e + 1.0), abs=1e-12)
-    assert oc.energy(np.array([1.0, 0.0])) == pytest.approx(-1.3132616875182228, abs=1e-12)
+    assert row_energy([1.0, 0.0]) == pytest.approx(-math.log(math.e + 1.0), abs=1e-12)
+    assert row_energy([1.0, 0.0]) == pytest.approx(-1.3132616875182228, abs=1e-12)
 
 
 def test_energy_large_logits_no_overflow():
-    assert oc.energy(np.array([1000.0, 1000.0])) == pytest.approx(-1000.0 - LN2, abs=1e-12)
+    assert row_energy([1000.0, 1000.0]) == pytest.approx(-1000.0 - LN2, abs=1e-12)
 
 
 def test_energy_empty_rejected():
     with pytest.raises(ContractError):
-        oc.energy(np.array([]))
+        oc._energy_of_logits(np.empty((1, 0)))
 
 
 def test_energy_shift_property():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        logits = rng.standard_normal(5) * 3
-        c = float(rng.standard_normal()) * 10
-        assert oc.energy(logits + c) == pytest.approx(oc.energy(logits) - c, abs=1e-12)
+    logits = rng.standard_normal((20, 5)) * 3
+    c = rng.standard_normal((20, 1)) * 10
+    np.testing.assert_allclose(oc._energy_of_logits(logits + c),
+                               oc._energy_of_logits(logits) - c[:, 0], rtol=0, atol=1e-12)
 
 
 # regularization loss -------------------------------------------------------
@@ -58,16 +63,16 @@ def test_ood_loss_saturated_limit():
     clf.params["clf.b2"] = np.zeros(1)
     clf.params["clf.w3"] = np.array([[10.0], [0.0]])
     clf.params["clf.b3"] = np.zeros(2)
-    e_id = oc.sample_energy(clf, np.array([1.0]))
-    e_ood = oc.sample_energy(clf, np.array([-1.0]))
+    e_id, e_ood = oc.sample_energies(clf, np.array([[1.0], [-1.0]]))
     mid = 0.5 * (e_id + e_ood)
     half = 0.5 * (e_ood - e_id)
     clf.params["phi.w1"] = np.array([[1.0]])
     clf.params["phi.b1"] = np.array([-mid])
     clf.params["phi.w2"] = np.array([[-50.0 / math.tanh(half)]])
     clf.params["phi.b2"] = np.zeros(())
-    assert oc.ood_score(clf, np.array([1.0])) == pytest.approx(50.0, abs=1e-9)
-    assert oc.ood_score(clf, np.array([-1.0])) == pytest.approx(-50.0, abs=1e-9)
+    u_id, u_ood = oc.ood_scores(clf, np.array([[1.0], [-1.0]]))
+    assert u_id == pytest.approx(50.0, abs=1e-9)
+    assert u_ood == pytest.approx(-50.0, abs=1e-9)
     loss = oc.ood_regularization_loss(clf, np.array([[1.0]]), np.array([[-1.0]]))
     assert loss < 1e-20
 
@@ -82,8 +87,8 @@ def test_ood_loss_matches_per_sample_oracle(toy_run):
     def softplus(v):
         return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
 
-    id_part = np.mean([softplus(-oc.ood_score(clf, x)) for x in id_batch])
-    ood_part = np.mean([softplus(oc.ood_score(clf, x)) for x in ood_batch])
+    id_part = np.mean([softplus(-oc.ood_scores(clf, x[None])[0]) for x in id_batch])
+    ood_part = np.mean([softplus(oc.ood_scores(clf, x[None])[0]) for x in ood_batch])
     assert got == pytest.approx(id_part + ood_part, abs=1e-12)
 
 
@@ -135,14 +140,13 @@ def test_total_loss_label_range_checked(toy_run):
 def test_score_zero_at_init():
     clf = oc.build_energy_classifier(2, 3, seed=3)
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        assert oc.ood_score(clf, rng.standard_normal(2)) == 0.0
+    assert np.array_equal(oc.ood_scores(clf, rng.standard_normal((10, 2))), np.zeros(10))
 
 
 def test_score_batch_context_invariant(toy_run):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-2, 2, (5, 2))
-    solo = [oc.ood_score(toy_run.clf_beta1, x) for x in xs]
+    solo = [oc.ood_scores(toy_run.clf_beta1, x[None])[0] for x in xs]
     batch = oc.ood_scores(toy_run.clf_beta1, xs)
     assert np.array_equal(np.array(solo), batch)
 
@@ -164,7 +168,7 @@ def test_trained_scores_separate_id_from_outliers(toy_run):
 
 def test_score_dimension_checked(toy_run):
     with pytest.raises(ContractError):
-        oc.ood_score(toy_run.clf_beta1, np.zeros(3))
+        oc.ood_scores(toy_run.clf_beta1, np.zeros((1, 3)))
 
 
 # training ------------------------------------------------------------------

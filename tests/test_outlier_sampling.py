@@ -91,11 +91,11 @@ def test_outlier_round_trip_and_density_identity(toy_run):
     outs = toy_run.outliers
     for i in (0, len(outs) // 2, len(outs) - 1):
         label = int(outs.labels[i])
-        v = cvpn.cvpn_forward(toy_run.model, outs.embeddings[i], label)
-        ld = density.log_density_v(toy_run.bank, v, label)
+        e = outs.embeddings[i:i + 1]
+        v = cvpn.cvpn_forward_batch(toy_run.model, e, np.array([label]))
+        ld = density.log_density_v_batch(toy_run.bank, v, label)[0]
         assert ld == pytest.approx(outs.log_densities[i], abs=1e-9)
-        e_density = density.log_density_e(toy_run.bank, toy_run.model,
-                                          outs.embeddings[i], label)
+        e_density = density.log_density_e_batch(toy_run.bank, toy_run.model, e, label)[0]
         assert e_density == pytest.approx(outs.log_densities[i], abs=1e-9)
 
 

@@ -181,6 +181,22 @@ def test_cli_sweep_lambda(tmp_path, capsys):
     assert "mean_invariant_magnitude" in capsys.readouterr().out
 
 
+def test_cli_malformed_csv_comment_fails_with_stage_tag(tmp_path, capsys):
+    src = tmp_path / "src"
+    pipeline.run_pipeline(tiny_cfg(), src, stages=["embed"])
+    train = src / "embeddings_train.csv"
+    train.write_text(train.read_text().replace("# class_count 3\n", "# class_count three\n"))
+    cfg_file = tmp_path / "csv.cfg"
+    cfg_file.write_text(TINY + f"embed.source = csv\n"
+                               f"data.train_csv = {train}\n"
+                               f"data.heldout_csv = {src / 'embeddings_heldout.csv'}\n"
+                               f"data.ood_csv = {src / 'ood_test.csv'}\n")
+    rc = cli.main(["embed", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "embed" in err and "embeddings_train.csv" in err
+
+
 def test_cli_bad_lambdas(tmp_path, capsys):
     rc = cli.main(["sweep-lambda", "--out", str(tmp_path / "s"), "--lambdas", "1e-6,zap"])
     assert rc == 1
