@@ -190,8 +190,8 @@ def load_bank(path) -> ClassGaussianBank:
     lam = _field(path, meta, "lam", float)
     class_count = _field(path, meta, "class_count")
     dim = _field(path, meta, "dim")
-    if lam <= 0:
-        raise ArtifactError(f"{path}: meta field 'lam' must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ArtifactError(f"{path}: meta field 'lam' must be finite and positive, got {lam!r}")
     means = np.empty((class_count, dim))
     covs = np.empty((class_count, dim, dim))
     chols = np.empty((class_count, dim, dim))
@@ -354,6 +354,8 @@ def load_outliers_csv(path) -> OutlierSet:
         raise ArtifactError(f"{path}: malformed outliers row") from err
     if emb.size == 0:
         emb = emb.reshape(0, dim)
+    if not (np.isfinite(emb).all() and np.isfinite(lds).all() and np.isfinite([lam, q]).all()):
+        raise ArtifactError(f"{path}: outliers contain non-finite values")
     if attempts is None:
         attempts = np.zeros(int(labels.max()) + 1 if labels.size else 0, dtype=np.int64)
     return OutlierSet(emb, labels, lds, lam, q, seed, attempts)

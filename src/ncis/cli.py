@@ -67,8 +67,6 @@ def main(argv=None) -> int:
                 lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
             except ValueError:
                 raise ParseError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}")
-            if not lambdas or any(v <= 0 for v in lambdas):
-                raise ParseError("--lambdas values must be positive")
             rows = sweep_lambda(cfg, args.out, lambdas, log=log)
             print("lambda,fpr95,auroc,accuracy,mean_invariant_magnitude")
             for lam, fpr, auc, acc, mag in rows:

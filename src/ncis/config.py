@@ -10,10 +10,9 @@ name the offending line.  After the file, environment variables of the form
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
@@ -188,16 +187,7 @@ def load_config(path, environ=None) -> RunConfig:
     return parse_config(Path(path).read_text(), environ)
 
 
-def config_lines(cfg: RunConfig):
-    """Canonical `key = value` rendering, sorted by key."""
+def config_lines(cfg: RunConfig, attrs):
+    """Canonical `key = value` rendering of the fields ``attrs``, sorted by key."""
     by_attr = {attr: key for key, (attr, _, _, _) in KEY_TABLE.items()}
-    lines = []
-    for f in fields(cfg):
-        key = by_attr[f.name]
-        lines.append(f"{key} = {getattr(cfg, f.name)!r}")
-    return sorted(lines)
-
-
-def config_hash(cfg: RunConfig) -> str:
-    digest = hashlib.sha256("\n".join(config_lines(cfg)).encode("utf-8"))
-    return digest.hexdigest()
+    return sorted(f"{by_attr[attr]} = {getattr(cfg, attr)!r}" for attr in attrs)

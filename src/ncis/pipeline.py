@@ -1,15 +1,30 @@
 """Pipeline orchestration: stages, artifact reuse, and the lambda sweep.
 
 Stages communicate exclusively through versioned artifact files in the output
-directory, so every stage can also run standalone.  A manifest records the
-configuration hash; a stage whose outputs already exist is skipped when the
-hash matches and refused when it does not (stale artifacts are never silently
-reused).
+directory, so every stage can also run standalone.  Each stage declares the
+configuration fields its body reads (``STAGE_FIELDS``) and the files it reads
+(``STAGE_INPUTS``, plus the external CSVs when ``embed.source = csv``).  Its
+cache key is a sha256 over the canonical ``key = value`` lines of those fields
+and the sha256 of each of those files, so a stage's key changes exactly when
+something it reads changes.
+
+``manifest.json`` holds one record per completed stage: its key and the
+digests of the files it read and wrote.  A stage is skipped when its record
+carries the current key and its outputs are present, run when it has no
+record (stray outputs of a crashed run are overwritten), and refused when its
+record carries a different key: stale artifacts are never silently reused,
+nor overwritten.  A stage writes its outputs into a staging directory; they
+are moved into place with ``os.replace``, so no output is ever left half
+written, and the manifest is written after them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import os
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,8 +32,8 @@ import numpy as np
 
 from . import artifacts, cvpn, density, embedding, evalharness, invariant_training
 from . import ood_classifier, outlier_sampling
-from .config import RunConfig, config_hash
-from .errors import ArtifactError, NcisError, PipelineError
+from .config import KEY_TABLE, RunConfig, config_lines
+from .errors import ArtifactError, NcisError, ParseError, PipelineError
 
 STAGES = ("embed", "train-cvpn", "fit-density", "sample-outliers",
           "train-classifier", "evaluate")
@@ -32,6 +47,37 @@ STAGE_OUTPUTS = {
     "evaluate": ("metrics.csv", "scores.csv"),
 }
 
+# the RunConfig fields each stage body reads; a field left out here would let
+# a changed value reuse stale outputs (tests/test_stage_keys.py checks this)
+STAGE_FIELDS = {
+    "embed": ("embed_source", "seed", "benchmark_n_per_class", "benchmark_noise",
+              "benchmark_margin", "benchmark_ood_count", "embed_iterations",
+              "embed_batch_size", "embed_learning_rate", "embed_timesteps",
+              "data_train_csv", "data_heldout_csv", "data_ood_csv"),
+    "train-cvpn": ("seed", "invariants_p", "invariants_k_override", "cvpn_num_blocks",
+                   "cvpn_hidden_width", "cvpn_train_lr", "cvpn_train_iterations",
+                   "cvpn_train_batch"),
+    "fit-density": ("density_lambda",),
+    "sample-outliers": ("seed", "sample_n_per_class", "sample_q", "sample_max_attempts"),
+    "train-classifier": ("seed", "classifier_beta", "classifier_epochs", "classifier_lr",
+                         "classifier_batch", "classifier_hidden_width",
+                         "classifier_phi_hidden"),
+    "evaluate": ("embed_source",),
+}
+
+# the upstream artifacts each stage body reads from the output directory
+STAGE_INPUTS = {
+    "embed": (),
+    "train-cvpn": ("embeddings_train.csv",),
+    "fit-density": ("cvpn.txt", "embeddings_train.csv"),
+    "sample-outliers": ("cvpn.txt", "bank.txt"),
+    "train-classifier": ("embeddings_train.csv", "outliers.csv"),
+    "evaluate": ("classifier.txt", "embeddings_heldout.csv", "ood_test.csv"),
+}
+
+# the fields naming the external CSVs that embed reads when embed.source = csv
+CSV_SOURCE_FIELDS = ("data_train_csv", "data_heldout_csv", "data_ood_csv")
+
 MANIFEST_NAME = "manifest.json"
 
 
@@ -42,16 +88,52 @@ def _manifest_path(out_dir):
 def _load_manifest(out_dir):
     path = _manifest_path(out_dir)
     if not path.exists():
-        return {"config_hash": None, "stages": {}}
+        return {"stages": {}}
     try:
-        return json.loads(path.read_text())
+        manifest = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ArtifactError(f"{path}: corrupt manifest") from err
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+        raise ArtifactError(f"{path}: corrupt manifest")
+    return manifest
 
 
 def _store_manifest(out_dir, manifest):
-    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _manifest_path(out_dir).write_text(payload, newline="\n")
+    path = _manifest_path(out_dir)
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n")
+    os.replace(partial, path)
+
+
+def _file_digest(path):
+    """sha256 of a file's bytes; ``ArtifactError`` naming the file if unreadable."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as err:
+        raise ArtifactError(f"missing artifact file: {path}") from err
+    except OSError as err:
+        raise ArtifactError(f"{path}: cannot read ({err.strerror})") from err
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stage_input_digests(stage, cfg: RunConfig, out_dir):
+    """{label: sha256} of the files ``stage`` reads.
+
+    Upstream artifacts are labelled by file name, so a record stays valid
+    when copied into another output directory; external CSVs by their
+    configured path.
+    """
+    paths = {name: Path(out_dir) / name for name in STAGE_INPUTS[stage]}
+    if stage == "embed" and cfg.embed_source == "csv":
+        paths.update((getattr(cfg, f), Path(getattr(cfg, f))) for f in CSV_SOURCE_FIELDS)
+    return {label: _file_digest(path) for label, path in paths.items()}
+
+
+def stage_key(stage, cfg: RunConfig, input_digests):
+    """sha256 over the stage's configuration lines and its input digests."""
+    lines = config_lines(cfg, STAGE_FIELDS[stage])
+    lines += [f"input {label} {digest}" for label, digest in sorted(input_digests.items())]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +174,7 @@ def _embed_with_toy_denoiser(cfg: RunConfig, bench):
     return train, heldout, ood
 
 
-def stage_embed(cfg: RunConfig, out_dir: Path):
+def stage_embed(cfg: RunConfig, run_dir: Path, dest: Path):
     if cfg.embed_source == "csv":
         train = artifacts.load_embeddings_csv(cfg.data_train_csv)
         heldout = artifacts.load_embeddings_csv(cfg.data_heldout_csv)
@@ -106,13 +188,13 @@ def stage_embed(cfg: RunConfig, out_dir: Path):
             train, heldout, ood = _embed_with_toy_denoiser(cfg, bench)
         else:
             train, heldout, ood = bench.train, bench.heldout, bench.ood
-    artifacts.save_embeddings_csv(train, out_dir / "embeddings_train.csv")
-    artifacts.save_embeddings_csv(heldout, out_dir / "embeddings_heldout.csv")
-    artifacts.save_points_csv(ood, out_dir / "ood_test.csv")
+    artifacts.save_embeddings_csv(train, dest / "embeddings_train.csv")
+    artifacts.save_embeddings_csv(heldout, dest / "embeddings_heldout.csv")
+    artifacts.save_points_csv(ood, dest / "ood_test.csv")
 
 
-def stage_train_cvpn(cfg: RunConfig, out_dir: Path):
-    train = artifacts.load_embeddings_csv(out_dir / "embeddings_train.csv")
+def stage_train_cvpn(cfg: RunConfig, run_dir: Path, dest: Path):
+    train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
     train_cfg = invariant_training.TrainConfig(
         learning_rate=cfg.cvpn_train_lr,
         iterations=cfg.cvpn_train_iterations,
@@ -129,32 +211,32 @@ def stage_train_cvpn(cfg: RunConfig, out_dir: Path):
     model = cvpn.build_cvpn(train.dim, k, cfg.cvpn_num_blocks, train.class_count,
                             cfg.cvpn_hidden_width, cfg.seed)
     model, history = invariant_training.train_cvpn(model, train, train_cfg)
-    artifacts.save_cvpn(model, out_dir / "cvpn.txt")
-    artifacts.save_loss_history_csv(history, out_dir / "loss_history.csv")
+    artifacts.save_cvpn(model, dest / "cvpn.txt")
+    artifacts.save_loss_history_csv(history, dest / "loss_history.csv")
 
 
-def stage_fit_density(cfg: RunConfig, out_dir: Path):
-    model = artifacts.load_cvpn(out_dir / "cvpn.txt")
-    train = artifacts.load_embeddings_csv(out_dir / "embeddings_train.csv")
+def stage_fit_density(cfg: RunConfig, run_dir: Path, dest: Path):
+    model = artifacts.load_cvpn(run_dir / "cvpn.txt")
+    train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
     vectors = cvpn.cvpn_forward_batch(model, train.embeddings, train.labels)
     bank = density.fit_class_gaussians(vectors, train.labels, cfg.density_lambda,
                                        class_count=model.class_count)
-    artifacts.save_bank(bank, out_dir / "bank.txt")
+    artifacts.save_bank(bank, dest / "bank.txt")
 
 
-def stage_sample_outliers(cfg: RunConfig, out_dir: Path):
-    model = artifacts.load_cvpn(out_dir / "cvpn.txt")
-    bank = artifacts.load_bank(out_dir / "bank.txt")
+def stage_sample_outliers(cfg: RunConfig, run_dir: Path, dest: Path):
+    model = artifacts.load_cvpn(run_dir / "cvpn.txt")
+    bank = artifacts.load_bank(run_dir / "bank.txt")
     max_attempts = cfg.sample_max_attempts if cfg.sample_max_attempts > 0 else None
     outliers = outlier_sampling.synthesize_outliers(
         model, bank, cfg.sample_n_per_class, q=cfg.sample_q,
         max_attempts=max_attempts, seed=cfg.seed)
-    artifacts.save_outliers_csv(outliers, out_dir / "outliers.csv")
+    artifacts.save_outliers_csv(outliers, dest / "outliers.csv")
 
 
-def stage_train_classifier(cfg: RunConfig, out_dir: Path):
-    train = artifacts.load_embeddings_csv(out_dir / "embeddings_train.csv")
-    outliers = artifacts.load_outliers_csv(out_dir / "outliers.csv")
+def stage_train_classifier(cfg: RunConfig, run_dir: Path, dest: Path):
+    train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
+    outliers = artifacts.load_outliers_csv(run_dir / "outliers.csv")
     clf_cfg = ood_classifier.ClassifierConfig(
         epochs=cfg.classifier_epochs,
         learning_rate=cfg.classifier_lr,
@@ -165,7 +247,7 @@ def stage_train_classifier(cfg: RunConfig, out_dir: Path):
         phi_hidden=cfg.classifier_phi_hidden,
     )
     clf = ood_classifier.train_energy_classifier(train, outliers, clf_cfg)
-    artifacts.save_classifier(clf, out_dir / "classifier.txt")
+    artifacts.save_classifier(clf, dest / "classifier.txt")
 
 
 def _score_samples(clf, heldout, ood):
@@ -182,10 +264,10 @@ def _score_samples(clf, heldout, ood):
     return id_scores, ood_scores, method
 
 
-def stage_evaluate(cfg: RunConfig, out_dir: Path):
-    clf = artifacts.load_classifier(out_dir / "classifier.txt")
-    heldout = artifacts.load_embeddings_csv(out_dir / "embeddings_heldout.csv")
-    ood = artifacts.load_points_csv(out_dir / "ood_test.csv")
+def stage_evaluate(cfg: RunConfig, run_dir: Path, dest: Path):
+    clf = artifacts.load_classifier(run_dir / "classifier.txt")
+    heldout = artifacts.load_embeddings_csv(run_dir / "embeddings_heldout.csv")
+    ood = artifacts.load_points_csv(run_dir / "ood_test.csv")
 
     id_scores, ood_scores, method = _score_samples(clf, heldout, ood)
     samples = evalharness.scores_to_samples(id_scores, ood_scores)
@@ -194,7 +276,7 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path):
     acc = evalharness.classification_accuracy(
         ood_classifier.predict_labels(clf, heldout.embeddings), heldout.labels)
     dataset = "toy" if cfg.embed_source != "csv" else "csv"
-    artifacts.save_metrics_csv([(dataset, method, fpr, auc, acc)], out_dir / "metrics.csv")
+    artifacts.save_metrics_csv([(dataset, method, fpr, auc, acc)], dest / "metrics.csv")
 
     rows = []
     energies_id = ood_classifier.sample_energies(clf, heldout.embeddings)
@@ -203,9 +285,12 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path):
     energies_ood = ood_classifier.sample_energies(clf, ood)
     for i, (s, e) in enumerate(zip(ood_scores, energies_ood)):
         rows.append((len(id_scores) + i, "OOD", s, e))
-    artifacts.save_scores_csv(rows, out_dir / "scores.csv")
+    artifacts.save_scores_csv(rows, dest / "scores.csv")
 
 
+# Each body reads its inputs from the run directory and writes its outputs
+# into ``dest``, a staging directory that ``run_pipeline`` empties into the
+# run directory once the body has returned.
 _STAGE_BODIES = {
     "embed": stage_embed,
     "train-cvpn": stage_train_cvpn,
@@ -220,11 +305,28 @@ _STAGE_BODIES = {
 # driver
 # ---------------------------------------------------------------------------
 
+def _run_stage(stage, cfg: RunConfig, out_dir: Path):
+    """Run one stage body and move its outputs into ``out_dir``; returns
+    {output name: sha256}."""
+    staging = out_dir / f".{stage}.partial"
+    shutil.rmtree(staging, ignore_errors=True)
+    staging.mkdir()
+    try:
+        _STAGE_BODIES[stage](cfg, out_dir, staging)
+        digests = {name: _file_digest(staging / name) for name in STAGE_OUTPUTS[stage]}
+        for name in STAGE_OUTPUTS[stage]:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return digests
+
+
 def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
     """Run the requested stages in order; returns {stage: [output paths]}.
 
-    Completed stages recorded in the manifest under the same configuration
-    hash are skipped.  Existing outputs under a different hash raise
+    A stage whose manifest record carries its current key and whose outputs
+    exist is skipped.  A stage with no record is run, overwriting any stray
+    outputs.  A stage whose record carries a different key raises
     ``ArtifactError`` instead of being overwritten.
     """
     out_dir = Path(out_dir)
@@ -234,35 +336,32 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
         if stage not in _STAGE_BODIES:
             raise PipelineError(f"unknown stage '{stage}'")
 
-    current_hash = config_hash(cfg)
     manifest = _load_manifest(out_dir)
-    if manifest["config_hash"] is None:
-        manifest["config_hash"] = current_hash
-
     produced = {}
     for stage in stages:
         outputs = [out_dir / name for name in STAGE_OUTPUTS[stage]]
-        existing = [p for p in outputs if p.exists()]
-        recorded = manifest["stages"].get(stage)
-        if existing:
-            if manifest["config_hash"] == current_hash and recorded is not None:
+        try:
+            inputs = _stage_input_digests(stage, cfg, out_dir)
+        except NcisError as err:
+            raise PipelineError(f"stage '{stage}': {err}") from err
+        key = stage_key(stage, cfg, inputs)
+        record = manifest["stages"].get(stage)
+        if record is not None:
+            if record.get("key") != key:
+                raise ArtifactError(
+                    f"stage '{stage}': its artifacts in {out_dir} were produced under a "
+                    f"different configuration or from different inputs; refusing to reuse "
+                    f"or overwrite them (use a fresh output directory)")
+            if all(p.exists() for p in outputs):
                 if log:
                     log(f"[{stage}] outputs up to date, skipping")
                 produced[stage] = outputs
                 continue
-            raise ArtifactError(
-                f"stage '{stage}': artifacts {', '.join(p.name for p in existing)} exist "
-                f"but were produced under a different configuration; refusing to reuse them "
-                f"(use a fresh output directory)")
-        if manifest["config_hash"] != current_hash:
-            raise ArtifactError(
-                "output directory was used with a different configuration; "
-                "refusing to mix artifacts (use a fresh output directory)")
         try:
-            _STAGE_BODIES[stage](cfg, out_dir)
+            digests = _run_stage(stage, cfg, out_dir)
         except NcisError as err:
             raise PipelineError(f"stage '{stage}': {err}") from err
-        manifest["stages"][stage] = {"seed": cfg.seed, "outputs": [p.name for p in outputs]}
+        manifest["stages"][stage] = {"key": key, "inputs": inputs, "outputs": digests}
         _store_manifest(out_dir, manifest)
         if log:
             log(f"[{stage}] wrote {', '.join(p.name for p in outputs)}")
@@ -272,20 +371,66 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
 
 DEFAULT_SWEEP = (1e-6, 1e-5, 1e-4, 1e-3)
 
+# the stages before the first one that reads lambda, which a sweep runs once
+SWEEP_SHARED_STAGES = tuple(itertools.takewhile(
+    lambda stage: "density_lambda" not in STAGE_FIELDS[stage], STAGES))
+
+
+def _sweep_dir_names(lambdas):
+    """One ``lambda_<value>`` directory name per value; ``ParseError`` for a
+    value ``density.lambda`` would refuse, or for two values sharing a name."""
+    if not lambdas:
+        raise ParseError("the lambda sweep needs at least one value")
+    _, _, in_range, _ = KEY_TABLE["density.lambda"]
+    names = {}
+    for lam in lambdas:
+        if not in_range(float(lam)):
+            raise ParseError(f"lambda values must be finite and > 0, got {lam!r}")
+        name = f"lambda_{lam:.0e}"
+        if name in names:
+            raise ParseError(f"lambda values {names[name]!r} and {lam!r} would share "
+                             f"the output directory {name}")
+        names[name] = lam
+    return list(names)
+
+
+def _copy_shared_stages(src: Path, dst: Path):
+    """Give ``dst`` the outputs and manifest records of ``src``'s shared stages,
+    unless ``dst`` already records one of them."""
+    dst.mkdir(parents=True, exist_ok=True)
+    manifest = _load_manifest(dst)
+    if any(stage in manifest["stages"] for stage in SWEEP_SHARED_STAGES):
+        return
+    records = _load_manifest(src)["stages"]
+    for stage in SWEEP_SHARED_STAGES:
+        for name in STAGE_OUTPUTS[stage]:
+            shutil.copyfile(src / name, dst / name)
+        manifest["stages"][stage] = records[stage]
+    _store_manifest(dst, manifest)
+
 
 def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     """Full pipeline per regularization value; returns the sweep table rows.
 
-    Each value runs in its own subdirectory with the same seed, so the
-    upstream stages reproduce identical artifacts and only the density,
-    sampling and classifier stages differ.
+    Each value runs in its own ``lambda_<value>`` subdirectory with the same
+    seed.  The stages before fit-density do not read lambda, so the first
+    value runs in full; each further directory first receives copies of that
+    directory's embed and train-cvpn outputs and manifest records, which
+    ``run_pipeline`` then skips by key.  The cVPN is trained once, and every
+    directory still holds the full artifact set, byte for byte that of a
+    separate run at its value.
     """
+    lambdas = list(lambdas)
+    names = _sweep_dir_names(lambdas)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    first = out_dir / names[0]
     rows = []
-    for lam in lambdas:
+    for lam, name in zip(lambdas, names):
         sub_cfg = replace(cfg, density_lambda=float(lam))
-        sub_dir = out_dir / f"lambda_{lam:.0e}"
+        sub_dir = out_dir / name
+        if sub_dir != first:
+            _copy_shared_stages(first, sub_dir)
         run_pipeline(sub_cfg, sub_dir, log=log)
         model = artifacts.load_cvpn(sub_dir / "cvpn.txt")
         outliers = artifacts.load_outliers_csv(sub_dir / "outliers.csv")

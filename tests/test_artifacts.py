@@ -167,6 +167,29 @@ def test_points_csv_rejects_non_finite(tmp_path, value):
         artifacts.load_points_csv(path)
 
 
+@pytest.mark.parametrize("field,written", [("e1", "0.25"), ("log_density", "-4.75")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_outliers_csv_rejects_non_finite(tmp_path, field, written, value):
+    path = tmp_path / "outliers.csv"
+    artifacts.save_outliers_csv(OutlierSet(np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([0, 1]),
+                                           np.array([-3.5, -4.75]), 1e-5, 0.05, 7,
+                                           np.array([10, 12])), path)
+    path.write_text(path.read_text().replace(written, value))
+    with pytest.raises(ArtifactError, match="outliers.csv"):
+        artifacts.load_outliers_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bank_rejects_non_finite_lam(toy_run, tmp_path, value):
+    path = tmp_path / "bank.txt"
+    artifacts.save_bank(toy_run.bank, path)
+    text = path.read_text()
+    assert "\nmeta lam 1e-05\n" in text
+    path.write_text(text.replace("\nmeta lam 1e-05\n", f"\nmeta lam {value}\n"))
+    with pytest.raises(ArtifactError, match="lam"):
+        artifacts.load_bank(path)
+
+
 @pytest.mark.parametrize("kind", ["cvpn", "classifier"])
 def test_unexpected_parameter_array_rejected(toy_run, tmp_path, kind):
     path = tmp_path / f"{kind}.txt"

@@ -1,6 +1,6 @@
 import pytest
 
-from ncis.config import RunConfig, config_hash, parse_config
+from ncis.config import RunConfig, config_lines, parse_config
 from ncis.errors import ParseError
 
 
@@ -74,8 +74,10 @@ def test_env_alias_and_validation():
         parse_config("", environ={"NCIS_LAMBDA": "-1"})
 
 
-def test_config_hash_tracks_values():
+def test_config_lines_track_values():
     a = parse_config("", environ={})
     b = parse_config("seed = 8", environ={})
-    assert config_hash(a) == config_hash(RunConfig())
-    assert config_hash(a) != config_hash(b)
+    assert config_lines(a, ("seed", "density_lambda")) == ["density.lambda = 1e-05", "seed = 7"]
+    assert config_lines(a, ("seed",)) == config_lines(RunConfig(), ("seed",))
+    assert config_lines(a, ("seed",)) != config_lines(b, ("seed",))
+    assert config_lines(a, ("density_lambda",)) == config_lines(b, ("density_lambda",))

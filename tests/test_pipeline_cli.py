@@ -201,3 +201,15 @@ def test_cli_bad_lambdas(tmp_path, capsys):
     rc = cli.main(["sweep-lambda", "--out", str(tmp_path / "s"), "--lambdas", "1e-6,zap"])
     assert rc == 1
     assert "lambdas" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lambdas", ["1e-6,nan", "inf", "1e-5,1.4e-5"])
+def test_cli_refuses_lambdas_before_any_stage(tmp_path, capsys, lambdas):
+    cfg_file = write_tiny_config(tmp_path)
+    out = tmp_path / "s"
+    rc = cli.main(["sweep-lambda", "--config", str(cfg_file), "--out", str(out),
+                   "--lambdas", lambdas])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "lambda" in captured.err and captured.out == ""
+    assert not out.exists()
