@@ -18,11 +18,10 @@ from .embedding import (Denoiser, EmbedConfig, LinearToyDenoiser, NoiseSchedule,
                         embed_dataset, embed_sample, forward_noise)
 from .errors import (ArtifactError, ContractError, NcisError, NumericError,
                      ParseError, PipelineError, SamplingError)
-from .evalharness import ScoreSample, ToyBenchmark, auroc, fpr_at_tpr, make_toy_benchmark
+from .evalharness import ToyBenchmark, auroc, fpr_at_tpr, make_toy_benchmark
 from .invariant_training import TrainConfig, invariant_loss, select_num_invariants, train_cvpn
-from .ood_classifier import (ClassifierConfig, EnergyClassifier, RegularizedLossReport,
-                             build_energy_classifier, ood_regularization_loss, ood_scores,
-                             sample_energies, total_loss, train_energy_classifier)
+from .ood_classifier import (ClassifierConfig, EnergyClassifier, build_energy_classifier,
+                             ood_scores, sample_energies, train_energy_classifier)
 from .outlier_sampling import OutlierSet, rejection_sample_invariant, synthesize_outliers
 from .pipeline import run_pipeline, sweep_lambda
 

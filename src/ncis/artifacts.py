@@ -296,7 +296,10 @@ def load_embeddings_csv(path) -> LabeledEmbeddingSet:
         emb = emb.reshape(0, dim)
     if emb.shape[1] != dim:
         raise ArtifactError(f"{path}: row width does not match header")
-    return LabeledEmbeddingSet(emb, labels, class_count)
+    try:
+        return LabeledEmbeddingSet(emb, labels, class_count)
+    except ContractError as err:
+        raise ArtifactError(f"{path}: {err}") from err
 
 
 def save_points_csv(points, path):
@@ -339,11 +342,9 @@ def load_outliers_csv(path) -> OutlierSet:
         raise ArtifactError(f"{path}: malformed outliers header")
     dim = len(header) - 4
     fields = _comment_fields(comments)
-    seed = _field(path, fields, "seed") if "seed" in fields else 0
-    attempts = None
-    if "attempts" in fields:
-        attempts = _field(path, fields, "attempts",
-                          lambda text: np.array([int(v) for v in text.split()], dtype=np.int64))
+    seed = _field(path, fields, "seed")
+    attempts = _field(path, fields, "attempts",
+                      lambda text: np.array([int(v) for v in text.split()], dtype=np.int64))
     try:
         labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
         emb = np.array([[float(v) for v in r[1:1 + dim]] for r in rows], dtype=np.float64)
@@ -356,8 +357,6 @@ def load_outliers_csv(path) -> OutlierSet:
         emb = emb.reshape(0, dim)
     if not (np.isfinite(emb).all() and np.isfinite(lds).all() and np.isfinite([lam, q]).all()):
         raise ArtifactError(f"{path}: outliers contain non-finite values")
-    if attempts is None:
-        attempts = np.zeros(int(labels.max()) + 1 if labels.size else 0, dtype=np.int64)
     return OutlierSet(emb, labels, lds, lam, q, seed, attempts)
 
 

@@ -6,6 +6,7 @@ aliases (``lambda``, ``p``, ``beta``, ``q``).  ``#`` starts a comment.
 Unknown keys, type mismatches and out-of-range values are parse errors that
 name the offending line.  After the file, environment variables of the form
 ``NCIS_<KEY>`` (dots replaced by underscores, upper-cased) override values.
+With ``embed.source = csv``, every ``data.*_csv`` path must then be set.
 """
 
 from __future__ import annotations
@@ -127,6 +128,9 @@ ALIASES = {
 
 ENV_PREFIX = "NCIS_"
 
+# the fields naming the external CSVs that embed reads when embed.source = csv
+CSV_SOURCE_FIELDS = ("data_train_csv", "data_heldout_csv", "data_ood_csv")
+
 
 def _parse_value(key, raw, line=None):
     attr, parser, check, desc = KEY_TABLE[key]
@@ -180,7 +184,13 @@ def parse_config(text: str, environ=None) -> RunConfig:
         canonical = _resolve_key(key, lineno)
         attr, value = _parse_value(canonical, raw, lineno)
         setattr(cfg, attr, value)
-    return apply_env_overrides(cfg, environ)
+    cfg = apply_env_overrides(cfg, environ)
+    if cfg.embed_source == "csv":
+        for attr in CSV_SOURCE_FIELDS:
+            if not getattr(cfg, attr):
+                key = attr.replace("_", ".", 1)
+                raise ParseError(f"embed.source = csv needs a path for '{key}'")
+    return cfg
 
 
 def load_config(path, environ=None) -> RunConfig:

@@ -45,10 +45,6 @@ class CvpnModel:
     seed: int
     params: dict
 
-    def block_param_names(self, block):
-        base = f"block{block}."
-        return [base + s for s in ("orth_skew", "t_w1", "t_b1", "t_w2", "t_b2", "t_w3", "t_b3")]
-
 
 def build_cvpn(dim, num_invariants, num_blocks, class_count, hidden_width, seed) -> CvpnModel:
     """Construct a model that is the identity map for every class."""

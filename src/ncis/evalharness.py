@@ -12,9 +12,7 @@ box but kept at least a margin away from every noiseless arc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,27 +20,18 @@ from .data import LabeledEmbeddingSet
 from .errors import ContractError
 
 
-class ScoreSample(NamedTuple):
-    score: float
-    is_id: bool
-
-
 def scores_to_samples(id_scores, ood_scores):
-    """Bundle per-group score arrays into a single sample list."""
-    samples = [ScoreSample(float(s), True) for s in id_scores]
-    samples += [ScoreSample(float(s), False) for s in ood_scores]
-    return samples
+    """The ``(id, ood)`` pair of float64 score arrays the metrics take."""
+    return np.asarray(id_scores, dtype=np.float64), np.asarray(ood_scores, dtype=np.float64)
 
 
 def _split(samples):
-    id_s, ood_s = [], []
-    for s in samples:
-        if not math.isfinite(s.score):
-            raise ContractError("scores must be finite")
-        (id_s if s.is_id else ood_s).append(s.score)
-    if not id_s or not ood_s:
+    id_s, ood_s = samples
+    if not (np.isfinite(id_s).all() and np.isfinite(ood_s).all()):
+        raise ContractError("scores must be finite")
+    if id_s.size == 0 or ood_s.size == 0:
         raise ContractError("need at least one ID and one OOD sample")
-    return np.asarray(id_s, dtype=np.float64), np.asarray(ood_s, dtype=np.float64)
+    return id_s, ood_s
 
 
 def auroc(samples) -> float:

@@ -29,13 +29,8 @@ class TrainConfig:
     iterations: int = 5000
     batch_size: int = 128
     seed: int = 0
-    variance_percent: float = 2.0
-    num_blocks: int = 4
-    hidden_width: int = 32
 
     def __post_init__(self):
-        if not 0.0 < self.variance_percent < 100.0:
-            raise ContractError("variance_percent must lie in (0, 100)")
         if self.iterations < 1:
             raise ContractError("iterations must be positive")
         if self.batch_size < 1:

@@ -56,15 +56,6 @@ class EnergyClassifier:
     params: dict
 
 
-@dataclass
-class RegularizedLossReport:
-    total: float
-    cross_entropy: float
-    ood_term: float
-    mean_id_energy: float
-    mean_ood_energy: float
-
-
 def build_energy_classifier(dim, class_count, hidden_width=64, phi_hidden=8,
                             beta=1.0, seed=0) -> EnergyClassifier:
     """Fresh classifier; the scoring head's output layer starts at zero, so the
@@ -167,42 +158,16 @@ def predict_labels(clf, xs) -> np.ndarray:
     return np.argmax(_row_logits(clf.params, _check_rows(clf, xs))[:, 0], axis=1)
 
 
-def ood_regularization_loss(clf, id_batch, ood_batch) -> float:
-    """Mean score-separation loss over an ID batch and an OOD batch."""
-    id_batch = np.asarray(id_batch, dtype=np.float64)
-    ood_batch = np.asarray(ood_batch, dtype=np.float64)
-    if id_batch.ndim != 2 or id_batch.shape[0] == 0:
-        raise ContractError("id_batch must be a non-empty (N, D) array")
-    if ood_batch.ndim != 2 or ood_batch.shape[0] == 0:
-        raise ContractError("ood_batch must be a non-empty (N, D) array")
-    return float(_ood_term(clf.params, id_batch, ood_batch))
+def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads):
+    """One training step's ``(ce, separation)`` terms and the gradient of
+    ``ce + beta * separation``.
 
-
-def total_loss(clf, id_batch, id_labels, ood_batch) -> RegularizedLossReport:
-    """Cross-entropy plus beta times the regularization term, with energy stats."""
-    id_batch = np.asarray(id_batch, dtype=np.float64)
-    id_labels = np.asarray(id_labels, dtype=np.int64)
-    if id_labels.size and (id_labels.min() < 0 or id_labels.max() >= clf.class_count):
-        raise ContractError("label out of range")
-    ce = float(_ce_term(clf.params, id_batch, id_labels))
-    ood = ood_regularization_loss(clf, id_batch, ood_batch)
-    return RegularizedLossReport(
-        total=ce + clf.beta * ood,
-        cross_entropy=ce,
-        ood_term=ood,
-        mean_id_energy=float(np.mean(sample_energies(clf, id_batch))),
-        mean_ood_energy=float(np.mean(sample_energies(clf, ood_batch))),
-    )
-
-
-def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads) -> float:
-    """One training step's loss, ``_ce_term + beta * _ood_term``, and its gradient.
-
-    A hand-written reverse pass, checked against the tape in the test suite.
-    The ID and outlier rows share one pass through the classifier.  With
-    ``beta == 0`` the separation term is dropped and the scoring head's
+    ``ce`` is ``_ce_term`` and ``separation`` is ``_ood_term``; a hand-written
+    reverse pass, checked against the tape in the test suite.  The ID and
+    outlier rows share one pass through the classifier.  With ``beta == 0``
+    the separation term is not computed (it reads 0.0) and the scoring head's
     gradients are exactly zero.  The gradient of each ``P[name]`` is written
-    into ``grads[name]``, an array of the same shape.  Returns the loss.
+    into ``grads[name]``, an array of the same shape.
     """
     n_id = id_x.shape[0]
     x = id_x if beta == 0.0 else np.concatenate([id_x, ood_x])
@@ -211,7 +176,8 @@ def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads) -> float:
     lse = ad.logsumexp(logits)
     soft = np.exp(logits - lse[:, None])
     rows = np.arange(n_id)
-    loss = float(np.sum(lse[:n_id] - logits[rows, id_y]) * (1.0 / n_id))
+    ce = float(np.sum(lse[:n_id] - logits[rows, id_y]) * (1.0 / n_id))
+    separation = 0.0
 
     if beta == 0.0:
         g_logits = soft * (1.0 / n_id)
@@ -224,15 +190,14 @@ def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads) -> float:
         u, phi_inputs = tanh_mlp(phi_layers, -lse[:, None])
         ls_id, d_id = ad.log_sigmoid_with_slope(u[:n_id, 0])
         ls_ood, d_ood = ad.log_sigmoid_with_slope(-u[n_id:, 0])
-        separation = np.sum(-ls_ood) * (1.0 / n_ood) + np.sum(-ls_id) * (1.0 / n_id)
-        loss = float(loss + separation * beta)
+        separation = float(np.sum(-ls_ood) * (1.0 / n_ood) + np.sum(-ls_id) * (1.0 / n_id))
         g_u = np.concatenate([-(beta / n_id) * d_id, (beta / n_ood) * d_ood])
         g_energy = tanh_mlp_backward(phi_layers, phi_inputs, g_u[:, None], _phi_layers(grads))
         g_logits = soft * g_energy * -1.0   # energy = -logsumexp(logits)
         g_logits[:n_id] += soft[:n_id] * (1.0 / n_id)
     g_logits[rows, id_y] -= 1.0 / n_id
     tanh_mlp_backward(clf_layers, clf_inputs, g_logits, _clf_layers(grads))
-    return loss
+    return ce, separation
 
 
 def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
@@ -275,8 +240,9 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
             for step in range(steps):
                 bi = order_id[step * bs:(step + 1) * bs]
                 bo = order_ood[step * bs:step * bs + bi.size]
-                loss = classifier_loss_and_grad(clf.params, id_data.embeddings[bi], id_data.labels[bi],
-                                                ood_x[bo], cfg.beta, grads)
+                ce, separation = classifier_loss_and_grad(
+                    clf.params, id_data.embeddings[bi], id_data.labels[bi], ood_x[bo], cfg.beta, grads)
+                loss = ce + cfg.beta * separation
                 if not (math.isfinite(loss) and np.isfinite(grad).all()):
                     raise NumericError(f"training aborted at epoch {epoch}: non-finite loss or gradient")
                 adam_update(flat, grad, state, cfg.learning_rate)

@@ -13,9 +13,10 @@ digests of the files it read and wrote.  A stage is skipped when its record
 carries the current key and its outputs are present, run when it has no
 record (stray outputs of a crashed run are overwritten), and refused when its
 record carries a different key: stale artifacts are never silently reused,
-nor overwritten.  A stage writes its outputs into a staging directory; they
-are moved into place with ``os.replace``, so no output is ever left half
-written, and the manifest is written after them.
+nor overwritten.  A stage run on its own is refused, too, when a recorded
+stage upstream of it carries a different key.  A stage writes its outputs
+into a staging directory; they are moved into place with ``os.replace``, so
+no output is ever left half written, and the manifest is written after them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import artifacts, cvpn, density, embedding, evalharness, invariant_training
 from . import ood_classifier, outlier_sampling
-from .config import KEY_TABLE, RunConfig, config_lines
+from .config import CSV_SOURCE_FIELDS, KEY_TABLE, RunConfig, config_lines
 from .errors import ArtifactError, NcisError, ParseError, PipelineError
 
 STAGES = ("embed", "train-cvpn", "fit-density", "sample-outliers",
@@ -74,9 +75,6 @@ STAGE_INPUTS = {
     "train-classifier": ("embeddings_train.csv", "outliers.csv"),
     "evaluate": ("classifier.txt", "embeddings_heldout.csv", "ood_test.csv"),
 }
-
-# the fields naming the external CSVs that embed reads when embed.source = csv
-CSV_SOURCE_FIELDS = ("data_train_csv", "data_heldout_csv", "data_ood_csv")
 
 MANIFEST_NAME = "manifest.json"
 
@@ -200,9 +198,6 @@ def stage_train_cvpn(cfg: RunConfig, run_dir: Path, dest: Path):
         iterations=cfg.cvpn_train_iterations,
         batch_size=cfg.cvpn_train_batch,
         seed=cfg.seed,
-        variance_percent=cfg.invariants_p,
-        num_blocks=cfg.cvpn_num_blocks,
-        hidden_width=cfg.cvpn_hidden_width,
     )
     if cfg.invariants_k_override > 0:
         k = cfg.invariants_k_override
@@ -321,13 +316,32 @@ def _run_stage(stage, cfg: RunConfig, out_dir: Path):
     return digests
 
 
+def _checked_key(stage, cfg: RunConfig, out_dir: Path, manifest):
+    """(input digests, key) of ``stage`` now; ``ArtifactError`` when its
+    manifest record carries a different key."""
+    try:
+        inputs = _stage_input_digests(stage, cfg, out_dir)
+    except NcisError as err:
+        raise PipelineError(f"stage '{stage}': {err}") from err
+    key = stage_key(stage, cfg, inputs)
+    record = manifest["stages"].get(stage)
+    if record is not None and record.get("key") != key:
+        raise ArtifactError(
+            f"stage '{stage}': its artifacts in {out_dir} were produced under a "
+            f"different configuration or from different inputs; refusing to reuse "
+            f"or overwrite them (use a fresh output directory)")
+    return inputs, key
+
+
 def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
     """Run the requested stages in order; returns {stage: [output paths]}.
 
     A stage whose manifest record carries its current key and whose outputs
     exist is skipped.  A stage with no record is run, overwriting any stray
     outputs.  A stage whose record carries a different key raises
-    ``ArtifactError`` instead of being overwritten.
+    ``ArtifactError`` instead of being overwritten, and so does a requested
+    stage when an unrequested stage upstream of it (in ``STAGES`` order) has
+    a record with a different key; unrecorded upstream stages are not checked.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -339,24 +353,16 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
     manifest = _load_manifest(out_dir)
     produced = {}
     for stage in stages:
+        for upstream in STAGES[:STAGES.index(stage)]:
+            if upstream not in stages and upstream in manifest["stages"]:
+                _checked_key(upstream, cfg, out_dir, manifest)
         outputs = [out_dir / name for name in STAGE_OUTPUTS[stage]]
-        try:
-            inputs = _stage_input_digests(stage, cfg, out_dir)
-        except NcisError as err:
-            raise PipelineError(f"stage '{stage}': {err}") from err
-        key = stage_key(stage, cfg, inputs)
-        record = manifest["stages"].get(stage)
-        if record is not None:
-            if record.get("key") != key:
-                raise ArtifactError(
-                    f"stage '{stage}': its artifacts in {out_dir} were produced under a "
-                    f"different configuration or from different inputs; refusing to reuse "
-                    f"or overwrite them (use a fresh output directory)")
-            if all(p.exists() for p in outputs):
-                if log:
-                    log(f"[{stage}] outputs up to date, skipping")
-                produced[stage] = outputs
-                continue
+        inputs, key = _checked_key(stage, cfg, out_dir, manifest)
+        if stage in manifest["stages"] and all(p.exists() for p in outputs):
+            if log:
+                log(f"[{stage}] outputs up to date, skipping")
+            produced[stage] = outputs
+            continue
         try:
             digests = _run_stage(stage, cfg, out_dir)
         except NcisError as err:

@@ -167,6 +167,29 @@ def test_points_csv_rejects_non_finite(tmp_path, value):
         artifacts.load_points_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_embeddings_csv_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "embeddings_train.csv"
+    artifacts.save_embeddings_csv(
+        LabeledEmbeddingSet(np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([0, 1]), 2), path)
+    path.write_text(path.read_text().replace("0.25", value))
+    with pytest.raises(ArtifactError, match="embeddings_train.csv"):
+        artifacts.load_embeddings_csv(path)
+
+
+@pytest.mark.parametrize("comment", ["# seed 7", "# attempts 10 12"], ids=["seed", "attempts"])
+def test_outliers_csv_missing_comment_rejected(tmp_path, comment):
+    path = tmp_path / "outliers.csv"
+    artifacts.save_outliers_csv(OutlierSet(np.zeros((2, 2)), np.array([0, 1]), np.zeros(2),
+                                           1e-5, 0.05, 7, np.array([10, 12])), path)
+    text = path.read_text()
+    assert comment + "\n" in text
+    path.write_text(text.replace(comment + "\n", ""))
+    field = comment.split()[1]
+    with pytest.raises(ArtifactError, match=f"outliers.csv: missing field '{field}'"):
+        artifacts.load_outliers_csv(path)
+
+
 @pytest.mark.parametrize("field,written", [("e1", "0.25"), ("log_density", "-4.75")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_outliers_csv_rejects_non_finite(tmp_path, field, written, value):

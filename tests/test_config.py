@@ -81,3 +81,15 @@ def test_config_lines_track_values():
     assert config_lines(a, ("seed",)) == config_lines(RunConfig(), ("seed",))
     assert config_lines(a, ("seed",)) != config_lines(b, ("seed",))
     assert config_lines(a, ("density_lambda",)) == config_lines(b, ("density_lambda",))
+
+
+def test_csv_source_requires_every_path():
+    with pytest.raises(ParseError, match="data.train_csv"):
+        parse_config("embed.source = csv", environ={})
+    two = "embed.source = csv\ndata.train_csv = a.csv\ndata.heldout_csv = b.csv\n"
+    with pytest.raises(ParseError, match="data.ood_csv"):
+        parse_config(two, environ={})
+    cfg = parse_config(two, environ={"NCIS_DATA_OOD_CSV": "c.csv"})
+    assert cfg.data_ood_csv == "c.csv"
+    with pytest.raises(ParseError, match="data.train_csv"):
+        parse_config("", environ={"NCIS_EMBED_SOURCE": "csv"})

@@ -80,11 +80,17 @@ def test_classifier_gradients_match_tape():
 
         tape_loss, tape_grads = ad.eval_and_grad(loss, clf.params)
         grads = {name: np.full(np.shape(v), np.nan) for name, v in clf.params.items()}
-        fused_loss = oc.classifier_loss_and_grad(clf.params, id_x, id_y, ood_x, beta, grads)
-        _assert_parity(fused_loss, grads, tape_loss, tape_grads, i)
+        ce, separation = oc.classifier_loss_and_grad(clf.params, id_x, id_y, ood_x, beta, grads)
+        _assert_parity(ce + beta * separation, grads, tape_loss, tape_grads, i)
+        tape_ce = float(oc._ce_term(clf.params, id_x, id_y))
+        assert abs(ce - tape_ce) <= TOL * abs(tape_ce), i
         if beta == 0.0:
+            assert separation == 0.0
             for name in ("phi.w1", "phi.b1", "phi.w2", "phi.b2"):
                 assert np.array_equal(grads[name], np.zeros(np.shape(clf.params[name]))), name
+        else:
+            tape_sep = float(oc._ood_term(clf.params, id_x, ood_x))
+            assert abs(separation - tape_sep) <= TOL * abs(tape_sep), i
 
 
 def _adam_per_array(params, grads, state, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -139,8 +139,6 @@ def test_training_aborts_on_nonfinite_with_iteration():
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        it.TrainConfig(variance_percent=100.0)
-    with pytest.raises(ContractError):
         it.TrainConfig(iterations=0)
     with pytest.raises(ContractError):
         it.TrainConfig(learning_rate=0.0)

@@ -43,20 +43,28 @@ def test_energy_shift_property():
                                oc._energy_of_logits(logits) - c[:, 0], rtol=0, atol=1e-12)
 
 
-# regularization loss -------------------------------------------------------
+# loss terms of the fused training pass ------------------------------------
+
+def fused_terms(clf, id_x, id_y, ood_x, beta=None):
+    """``(ce, separation, grads)`` of one training step on these batches."""
+    grads = {name: np.full(np.shape(v), np.nan) for name, v in clf.params.items()}
+    ce, separation = oc.classifier_loss_and_grad(
+        clf.params, np.asarray(id_x, dtype=np.float64), np.asarray(id_y, dtype=np.int64),
+        np.asarray(ood_x, dtype=np.float64), clf.beta if beta is None else beta, grads)
+    return ce, separation, grads
+
 
 def test_ood_loss_two_ln2_at_init():
     clf = oc.build_energy_classifier(2, 3, seed=0)
     rng = np.random.default_rng(1)
-    loss = oc.ood_regularization_loss(clf, rng.standard_normal((6, 2)),
-                                      rng.standard_normal((4, 2)))
-    assert loss == pytest.approx(2.0 * LN2, abs=1e-12)
+    _, separation, _ = fused_terms(clf, rng.standard_normal((6, 2)), rng.integers(0, 3, 6),
+                                   rng.standard_normal((4, 2)))
+    assert separation == pytest.approx(2.0 * LN2, abs=1e-12)
 
 
 def test_ood_loss_saturated_limit():
     # hand-built network: score +50 on the ID input, -50 on the OOD input
     clf = oc.build_energy_classifier(1, 2, hidden_width=1, phi_hidden=1, seed=0)
-    t = math.tanh(5.0)
     clf.params["clf.w1"] = np.array([[5.0]])
     clf.params["clf.b1"] = np.zeros(1)
     clf.params["clf.w2"] = np.array([[5.0]])
@@ -73,8 +81,8 @@ def test_ood_loss_saturated_limit():
     u_id, u_ood = oc.ood_scores(clf, np.array([[1.0], [-1.0]]))
     assert u_id == pytest.approx(50.0, abs=1e-9)
     assert u_ood == pytest.approx(-50.0, abs=1e-9)
-    loss = oc.ood_regularization_loss(clf, np.array([[1.0]]), np.array([[-1.0]]))
-    assert loss < 1e-20
+    _, separation, _ = fused_terms(clf, [[1.0]], [0], [[-1.0]])
+    assert separation < 1e-20
 
 
 def test_ood_loss_matches_per_sample_oracle(toy_run):
@@ -82,7 +90,7 @@ def test_ood_loss_matches_per_sample_oracle(toy_run):
     rng = np.random.default_rng(2)
     id_batch = rng.uniform(-2, 2, (7, 2))
     ood_batch = rng.uniform(-2, 2, (5, 2))
-    got = oc.ood_regularization_loss(clf, id_batch, ood_batch)
+    _, got, _ = fused_terms(clf, id_batch, rng.integers(0, 3, 7), ood_batch)
 
     def softplus(v):
         return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
@@ -92,47 +100,38 @@ def test_ood_loss_matches_per_sample_oracle(toy_run):
     assert got == pytest.approx(id_part + ood_part, abs=1e-12)
 
 
-def test_ood_loss_empty_batch_rejected():
-    clf = oc.build_energy_classifier(2, 2, seed=0)
-    with pytest.raises(ContractError):
-        oc.ood_regularization_loss(clf, np.empty((0, 2)), np.ones((1, 2)))
-    with pytest.raises(ContractError):
-        oc.ood_regularization_loss(clf, np.ones((1, 2)), np.empty((0, 2)))
-
-
-# total loss ----------------------------------------------------------------
-
 def test_total_loss_beta_zero_is_pure_ce():
     clf = oc.build_energy_classifier(2, 3, beta=0.0, seed=1)
     rng = np.random.default_rng(3)
-    report = oc.total_loss(clf, rng.standard_normal((8, 2)),
-                           rng.integers(0, 3, 8), rng.standard_normal((8, 2)))
-    assert report.total == report.cross_entropy
+    id_x = rng.standard_normal((8, 2))
+    id_y = rng.integers(0, 3, 8)
+    ce, separation, _ = fused_terms(clf, id_x, id_y, rng.standard_normal((8, 2)))
+    assert separation == 0.0
+    assert ce == pytest.approx(float(oc._ce_term(clf.params, id_x, id_y)), abs=1e-12)
 
 
 def test_total_loss_uniform_logits_ln3():
     clf = oc.build_energy_classifier(2, 3, seed=2)
     clf.params["clf.w3"] = np.zeros_like(clf.params["clf.w3"])
     rng = np.random.default_rng(4)
-    report = oc.total_loss(clf, rng.standard_normal((5, 2)),
-                           rng.integers(0, 3, 5), rng.standard_normal((3, 2)))
-    assert report.cross_entropy == pytest.approx(math.log(3.0), abs=1e-12)
+    ce, _, _ = fused_terms(clf, rng.standard_normal((5, 2)), rng.integers(0, 3, 5),
+                           rng.standard_normal((3, 2)))
+    assert ce == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 def test_total_loss_additivity(toy_run):
+    # the terms do not depend on beta, and the gradient is that of ce + beta * separation
     clf = toy_run.clf_beta1
     rng = np.random.default_rng(5)
-    id_batch = rng.uniform(-2, 2, (6, 2))
-    labels = rng.integers(0, 3, 6)
-    ood_batch = rng.uniform(-2, 2, (6, 2))
-    report = oc.total_loss(clf, id_batch, labels, ood_batch)
-    assert report.total == pytest.approx(
-        report.cross_entropy + clf.beta * report.ood_term, abs=1e-12)
-
-
-def test_total_loss_label_range_checked(toy_run):
-    with pytest.raises(ContractError):
-        oc.total_loss(toy_run.clf_beta1, np.ones((2, 2)), np.array([0, 5]), np.ones((2, 2)))
+    batches = (rng.uniform(-2, 2, (6, 2)), rng.integers(0, 3, 6), rng.uniform(-2, 2, (6, 2)))
+    ce0, _, g0 = fused_terms(clf, *batches, beta=0.0)
+    ce1, sep1, g1 = fused_terms(clf, *batches, beta=1.0)
+    ce2, sep2, g2 = fused_terms(clf, *batches, beta=2.5)
+    assert ce1 == ce2 == pytest.approx(ce0, abs=1e-12)
+    assert sep1 == sep2 > 0.0
+    for name in g0:
+        np.testing.assert_allclose(g2[name], g0[name] + 2.5 * (g1[name] - g0[name]),
+                                   rtol=1e-9, atol=1e-12, err_msg=name)
 
 
 # scoring -------------------------------------------------------------------

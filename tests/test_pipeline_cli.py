@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,27 @@ def test_changed_config_refuses_stale_artifacts(tmp_path):
     pipeline.run_pipeline(tiny_cfg(), out)
     with pytest.raises(ArtifactError, match="different configuration"):
         pipeline.run_pipeline(tiny_cfg("density.lambda = 1e-4\n"), out)
+
+
+def test_standalone_stage_refuses_changed_upstream_record(tmp_path):
+    out = tmp_path / "run"
+    pipeline.run_pipeline(tiny_cfg(), out)
+    before = (out / "metrics.csv").read_bytes()
+    with pytest.raises(ArtifactError, match="stage 'train-classifier'.*different configuration"):
+        pipeline.run_pipeline(tiny_cfg("classifier.epochs = 41\n"), out, stages=["evaluate"])
+    assert (out / "metrics.csv").read_bytes() == before
+
+
+def test_standalone_stage_ignores_unrecorded_upstream(tmp_path):
+    whole = tmp_path / "whole"
+    loose = tmp_path / "loose"
+    pipeline.run_pipeline(tiny_cfg(), whole)
+    loose.mkdir()
+    for stage in pipeline.STAGES[:-1]:
+        for name in pipeline.STAGE_OUTPUTS[stage]:
+            shutil.copyfile(whole / name, loose / name)
+    pipeline.run_pipeline(tiny_cfg("classifier.epochs = 41\n"), loose, stages=["evaluate"])
+    assert (loose / "metrics.csv").read_bytes() == (whole / "metrics.csv").read_bytes()
 
 
 def test_two_fresh_runs_byte_identical(tmp_path):
