@@ -105,6 +105,8 @@ def read_record(path, kind):
                 except ValueError as err:
                     raise ArtifactError(f"{path}: array '{name}' has a non-numeric value") from err
             arrays[name] = np.asarray(values, dtype=np.float64).reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise ArtifactError(f"{path}: array '{name}' has non-finite values")
             i += 1
             continue
         raise ArtifactError(f"{path}: unrecognized line {i + 1}: {line!r}")
@@ -372,9 +374,12 @@ def load_metrics_csv(path):
     if header != ["dataset", "method", "fpr95", "auroc", "accuracy"]:
         raise ArtifactError(f"{path}: malformed metrics header")
     try:
-        return [(r[0], r[1], float(r[2]), float(r[3]), float(r[4])) for r in rows]
+        metrics = [(r[0], r[1], float(r[2]), float(r[3]), float(r[4])) for r in rows]
     except (ValueError, IndexError) as err:
         raise ArtifactError(f"{path}: malformed metrics row") from err
+    if not np.isfinite([row[2:] for row in metrics]).all():
+        raise ArtifactError(f"{path}: metrics contain non-finite values")
+    return metrics
 
 
 def save_scores_csv(rows, path):
@@ -395,9 +400,12 @@ def load_loss_history_csv(path) -> np.ndarray:
     if header != ["iteration", "loss"]:
         raise ArtifactError(f"{path}: malformed loss-history header")
     try:
-        return np.array([[float(r[0]), float(r[1])] for r in rows], dtype=np.float64)
+        history = np.array([[float(r[0]), float(r[1])] for r in rows], dtype=np.float64)
     except (ValueError, IndexError) as err:
         raise ArtifactError(f"{path}: malformed loss-history row") from err
+    if not np.isfinite(history).all():
+        raise ArtifactError(f"{path}: loss history contains non-finite values")
+    return history
 
 
 def save_sweep_csv(rows, path):

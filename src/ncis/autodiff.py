@@ -3,10 +3,10 @@
 Values are float64 numpy arrays: scalars (shape ``()``), parameter vectors
 and matrices, and sample batches ``(B, n)``.  The row-wise operations
 (``pick``, ``embed_rows``, ``cayley_matvec``) take batches only; ``matvec``
-also takes the single vector that the embedding loop optimizes.  Every
-operation accepts plain arrays as well as :class:`Node` instances: arrays in
-give arrays out with nothing recorded, which is how the cVPN's forward and
-inverse maps run, and nodes in give a tape.
+also takes the one embedding vector of the toy denoiser's ``predict``.
+Every operation accepts plain arrays as well as :class:`Node` instances:
+arrays in give arrays out with nothing recorded, which is how the cVPN's
+forward and inverse maps run, and nodes in give a tape.
 
 The numeric primitives are addition, elementwise multiplication,
 matrix-vector products, tanh, log-sigmoid, log-sum-exp, sum-of-squares and a
@@ -16,14 +16,14 @@ plumbing and fixed-order batch reductions with trivial adjoints.  Reductions
 accumulate in a fixed order, so repeated evaluation of the same graph is
 bitwise reproducible.
 
-The tape is the reference for the gradients the models train with: the two
-training loops use hand-written batched backward passes
-(``invariant_training.invariant_loss_and_grad`` and
-``ood_classifier.classifier_loss_and_grad``), which the test suite checks
-against the tape versions of the same losses (built on ``cvpn.apply_blocks``
-and on ``ood_classifier._ce_term`` and ``_ood_term``), and the tape against
-central finite differences.  The embedding loop, whose denoiser is
-pluggable, trains on the tape directly.
+The tape is the reference for every gradient the pipeline descends: the two
+training loops and the embedding loop use hand-written batched backward
+passes (``invariant_training.invariant_loss_and_grad``,
+``ood_classifier.classifier_loss_and_grad`` and
+``embedding.LinearToyDenoiser.loss_and_grad``), which the test suite checks
+against the tape versions of the same losses (built on ``cvpn.apply_blocks``,
+on ``ood_classifier._ce_term`` and ``_ood_term``, and on the denoiser's
+``predict``), and the tape against central finite differences.
 """
 
 from __future__ import annotations

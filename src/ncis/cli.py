@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_config
 from .errors import NcisError, ParseError
 from .pipeline import DEFAULT_SWEEP, STAGES, run_pipeline, sweep_lambda
 
@@ -47,7 +47,7 @@ def build_parser():
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = load_config(args.config) if args.config else parse_config("")
     if args.seed is not None:
         if args.seed < 0:
             raise ParseError("--seed must be >= 0")

@@ -27,8 +27,8 @@ class RunConfig:
     benchmark_margin: float = 0.3
     benchmark_ood_count: int = 600
     embed_source: str = "toy-benchmark"
-    embed_iterations: int = 3
-    embed_batch_size: int = 32
+    embed_iterations: int = 150
+    embed_batch_size: int = 64
     embed_learning_rate: float = 0.01
     embed_timesteps: int = 50
     data_train_csv: str = ""

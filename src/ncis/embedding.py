@@ -14,7 +14,6 @@ denoising model) can replace the analytic toy denoiser used for verification.
 from __future__ import annotations
 
 import abc
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,28 +54,32 @@ class NoiseSchedule:
 
 
 def forward_noise(x0, t, noise, schedule: NoiseSchedule):
-    """Noised sample sqrt(ab_t) * x0 + sqrt(1 - ab_t) * noise for t in [1, T]."""
-    if not 1 <= int(t) <= schedule.timesteps:
+    """Noised sample sqrt(ab_t) * x0 + sqrt(1 - ab_t) * noise for t in [1, T];
+    ``t`` is one timestep or an array of them, one per row of ``x0``."""
+    t = np.asarray(t, dtype=np.int64)
+    if t.size and not (1 <= t.min() and t.max() <= schedule.timesteps):
         raise ContractError(f"timestep {t} outside [1, {schedule.timesteps}]")
     x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if x0.shape != noise.shape:
         raise ContractError("x0 and noise must have the same shape")
-    ab = schedule.alpha_bar[int(t) - 1]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
+    ab = schedule.alpha_bar[:, None]
+    return np.sqrt(ab)[t - 1] * x0 + np.sqrt(1.0 - ab)[t - 1] * noise
 
 
 class Denoiser(abc.ABC):
     """Noise predictor conditioned on an embedding.
 
-    ``predict`` receives a batch of noised samples ``(B, dx)``, their integer
-    timesteps ``(B,)`` and a single embedding vector; it must be built from
-    the autodiff ops so the loss can differentiate through the embedding.
+    ``loss_and_grad`` receives, for ``N`` items, noised batches ``(N, B, dx)``,
+    the noise drawn for them ``(N, B, dx)`` and the embeddings ``(N, de)``.
+    It returns each item's loss, its squared prediction error averaged over
+    its batch, and the loss's gradient with respect to its embedding; an
+    item's results must not depend on the other items.
     """
 
     @abc.abstractmethod
-    def predict(self, noisy, t, embedding):
-        """Predicted noise, same shape as ``noisy``."""
+    def loss_and_grad(self, noisy, eps, embeddings):
+        """Per-item loss ``(N,)`` and its embedding gradient ``(N, de)``."""
 
 
 class LinearToyDenoiser(Denoiser):
@@ -84,7 +87,8 @@ class LinearToyDenoiser(Denoiser):
 
     The expected loss is quadratic in the embedding with the closed-form
     minimizer ``A^-1 * mean_t(sqrt(alpha_bar_t)) * x0``, which makes the
-    embedding loop verifiable end to end.
+    embedding loop verifiable end to end.  ``predict`` is the same model on
+    the autodiff tape, the reference ``loss_and_grad`` is tested against.
     """
 
     def __init__(self, matrix):
@@ -96,6 +100,16 @@ class LinearToyDenoiser(Denoiser):
 
     def predict(self, noisy, t, embedding):
         return ad.sub(noisy, ad.matvec(self.matrix, embedding))
+
+    def loss_and_grad(self, noisy, eps, embeddings):
+        # r = eps - (noisy - A e): loss sum(r^2) / B, gradient A^T sum_b 2 r / B;
+        # stacked one-column products keep each item's rows apart
+        a_e = np.matmul(self.matrix, embeddings[:, :, None])[:, :, 0]
+        resid = eps - (noisy - a_e[:, None, :])
+        batch = resid.shape[1]
+        loss = np.sum(resid * resid, axis=(1, 2)) * (1.0 / batch)
+        g_ae = np.sum((2.0 * (1.0 / batch)) * resid, axis=1)
+        return loss, np.matmul(self.matrix.T, g_ae[:, :, None])[:, :, 0]
 
     def closed_form_embedding(self, x0, schedule: NoiseSchedule):
         """Minimizer of the expected loss over uniform timesteps."""
@@ -123,32 +137,10 @@ def embed_sample(sample, anchor, denoiser: Denoiser, schedule: NoiseSchedule,
                  cfg: EmbedConfig):
     """Gradient-descend the embedding of one sample, starting at ``anchor``.
 
-    With ``cfg.iterations == 0`` the anchor is returned unchanged.  One
-    gradient step is taken per iteration, on a freshly drawn batch of
-    (timestep, noise) pairs.
+    The one-item case of :func:`embed_dataset`, seeded with ``cfg.seed``.
     """
-    sample = np.asarray(sample, dtype=np.float64)
-    e = np.array(anchor, dtype=np.float64)
-    if cfg.iterations == 0:
-        return e
-    rng = np.random.default_rng(cfg.seed)
-    t_count = schedule.timesteps
-    for it in range(cfg.iterations):
-        ts = rng.integers(1, t_count + 1, size=cfg.batch_size)
-        eps = rng.standard_normal((cfg.batch_size, sample.shape[0]))
-        ab = schedule.alpha_bar[ts - 1][:, None]
-        noisy = np.sqrt(ab) * sample + np.sqrt(1.0 - ab) * eps
-
-        def loss_fn(P):
-            pred = denoiser.predict(noisy, ts, P["e"])
-            return ad.mul(ad.sumsq(ad.sub(eps, pred)), 1.0 / cfg.batch_size)
-
-        try:
-            _, grads = ad.eval_and_grad(loss_fn, {"e": e})
-        except NumericError as err:
-            raise NumericError(f"embedding aborted at iteration {it}: {err}") from err
-        e = e - cfg.learning_rate * grads["e"]
-    return e
+    return embed_dataset([sample], [0], [anchor], denoiser, schedule, cfg,
+                         item_seeds=[cfg.seed]).embeddings[0]
 
 
 def derive_item_seed(seed, index) -> int:
@@ -161,10 +153,11 @@ def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
                   item_seeds=None) -> LabeledEmbeddingSet:
     """Embed every (sample, label) pair independently, in input order.
 
-    Each item runs with its own seed so items are independent of each other:
-    by default the seed is derived from ``(cfg.seed, position)``, or the
-    caller can pass explicit ``item_seeds`` that travel with the items (for
-    example when re-embedding a permuted dataset).
+    Each item draws its (timestep, noise) batches from its own generator, so
+    items are independent of each other: by default its seed is derived from
+    ``(cfg.seed, position)``, or the caller can pass explicit ``item_seeds``
+    that travel with the items (for example when re-embedding a permuted
+    dataset).  All items then take each gradient step together, in one batch.
     """
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -181,12 +174,23 @@ def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
     if item_seeds is not None and len(item_seeds) != samples.shape[0]:
         raise ContractError("item_seeds must have one entry per sample")
 
-    out = np.empty((samples.shape[0], anchors.shape[1]))
-    for i in range(samples.shape[0]):
-        seed = item_seeds[i] if item_seeds is not None else derive_item_seed(cfg.seed, i)
-        item_cfg = dataclasses.replace(cfg, seed=int(seed))
-        try:
-            out[i] = embed_sample(samples[i], anchors[labels[i]], denoiser, schedule, item_cfg)
-        except NumericError as err:
-            raise NumericError(f"item {i}: {err}") from err
-    return LabeledEmbeddingSet(out, labels, class_count)
+    count, dx = samples.shape
+    if item_seeds is None:
+        item_seeds = [derive_item_seed(cfg.seed, i) for i in range(count)]
+    rngs = [np.random.default_rng(int(seed)) for seed in item_seeds]
+    x0 = np.broadcast_to(samples[:, None, :], (count, cfg.batch_size, dx))
+    ts = np.empty((count, cfg.batch_size), dtype=np.int64)
+    eps = np.empty(x0.shape)
+    e = anchors[labels]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(cfg.iterations):
+            for i, rng in enumerate(rngs):
+                ts[i] = rng.integers(1, schedule.timesteps + 1, size=cfg.batch_size)
+                rng.standard_normal(out=eps[i])
+            loss, grad = denoiser.loss_and_grad(forward_noise(x0, ts, eps, schedule), eps, e)
+            bad = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1))
+            if bad.any():
+                raise NumericError(f"item {int(np.argmax(bad))}: embedding aborted at "
+                                   f"iteration {it}: non-finite loss or gradient")
+            e = e - cfg.learning_rate * grad
+    return LabeledEmbeddingSet(e, labels, class_count)

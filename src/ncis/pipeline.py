@@ -144,9 +144,7 @@ def _toy_denoiser_matrix(dim, seed):
 
 
 def _embed_with_toy_denoiser(cfg: RunConfig, bench):
-    # Recover structured embeddings from toy samples with the analytic
-    # denoiser; the default 3-iteration budget barely moves off the anchor,
-    # so this source uses a larger budget internally.
+    # Recover structured embeddings from toy samples with the analytic denoiser
     schedule = embedding.NoiseSchedule.linear(cfg.embed_timesteps)
     denoiser = embedding.LinearToyDenoiser(_toy_denoiser_matrix(bench.train.dim, cfg.seed))
     scale = float(np.mean(np.sqrt(schedule.alpha_bar)))
@@ -154,22 +152,18 @@ def _embed_with_toy_denoiser(cfg: RunConfig, bench):
         np.linalg.solve(denoiser.matrix, scale * bench.train.class_points(c).mean(axis=0))
         for c in range(bench.train.class_count)])
     embed_cfg = embedding.EmbedConfig(
-        iterations=max(cfg.embed_iterations, 150),
-        batch_size=max(cfg.embed_batch_size, 64),
-        learning_rate=cfg.embed_learning_rate,
-        seed=cfg.seed,
-    )
+        iterations=cfg.embed_iterations, batch_size=cfg.embed_batch_size,
+        learning_rate=cfg.embed_learning_rate, seed=cfg.seed)
     train = embedding.embed_dataset(bench.train.embeddings, bench.train.labels,
                                     anchors, denoiser, schedule, embed_cfg)
     heldout = embedding.embed_dataset(bench.heldout.embeddings, bench.heldout.labels,
                                       anchors, denoiser, schedule, embed_cfg)
     # test-time points carry no label; start them at the mean anchor
-    neutral = anchors.mean(axis=0)
-    ood = np.empty_like(bench.ood)
-    for i, x in enumerate(bench.ood):
-        item_cfg = replace(embed_cfg, seed=embedding.derive_item_seed(cfg.seed, 1_000_000 + i))
-        ood[i] = embedding.embed_sample(x, neutral, denoiser, schedule, item_cfg)
-    return train, heldout, ood
+    ood_seeds = [embedding.derive_item_seed(cfg.seed, 1_000_000 + i) for i in range(len(bench.ood))]
+    ood = embedding.embed_dataset(bench.ood, np.zeros(len(bench.ood), dtype=np.int64),
+                                  anchors.mean(axis=0)[None], denoiser, schedule, embed_cfg,
+                                  item_seeds=ood_seeds)
+    return train, heldout, ood.embeddings
 
 
 def stage_embed(cfg: RunConfig, run_dir: Path, dest: Path):

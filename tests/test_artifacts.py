@@ -213,15 +213,46 @@ def test_bank_rejects_non_finite_lam(toy_run, tmp_path, value):
         artifacts.load_bank(path)
 
 
-@pytest.mark.parametrize("kind", ["cvpn", "classifier"])
-def test_unexpected_parameter_array_rejected(toy_run, tmp_path, kind):
+def _saved_record(toy_run, tmp_path, kind):
+    """A written cvpn or classifier record and its loader."""
     path = tmp_path / f"{kind}.txt"
     if kind == "cvpn":
         artifacts.save_cvpn(toy_run.model, path)
-        load = artifacts.load_cvpn
+        return path, artifacts.load_cvpn
+    artifacts.save_classifier(toy_run.clf_beta1, path)
+    return path, artifacts.load_classifier
+
+
+@pytest.mark.parametrize("kind,value", [("cvpn", "nan"), ("classifier", "inf")])
+def test_record_rejects_non_finite_parameter(toy_run, tmp_path, kind, value):
+    path, load = _saved_record(toy_run, tmp_path, kind)
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("array "))
+    name = lines[head].split()[1]
+    lines[head + 1] = " ".join([value] + lines[head + 1].split()[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ArtifactError, match=f"{kind}.txt: array '{name}'"):
+        load(path)
+
+
+@pytest.mark.parametrize("table", ["loss_history", "metrics"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_table_csv_rejects_non_finite(tmp_path, table, value):
+    path = tmp_path / f"{table}.csv"
+    if table == "loss_history":
+        artifacts.save_loss_history_csv(np.array([[0, 3.5], [1, 0.25]]), path)
+        load = artifacts.load_loss_history_csv
     else:
-        artifacts.save_classifier(toy_run.clf_beta1, path)
-        load = artifacts.load_classifier
+        artifacts.save_metrics_csv([("toy", "ncis", 0.125, 0.25, 1.0)], path)
+        load = artifacts.load_metrics_csv
+    path.write_text(path.read_text().replace("0.25", value))
+    with pytest.raises(ArtifactError, match=f"{table}.csv"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["cvpn", "classifier"])
+def test_unexpected_parameter_array_rejected(toy_run, tmp_path, kind):
+    path, load = _saved_record(toy_run, tmp_path, kind)
     text = path.read_text()
     assert text.endswith("\nend\n")
     path.write_text(text[:-len("end\n")] + "array bogus 1 2\n1.0 2.0\nend\n")

@@ -43,6 +43,20 @@ def test_forward_noise_timestep_range():
         emb.forward_noise(np.zeros(2), 11, np.zeros(2), schedule)
 
 
+def test_forward_noise_timestep_array_matches_scalar_rows():
+    schedule = emb.NoiseSchedule.linear(10)
+    rng = np.random.default_rng(2)
+    ts = rng.integers(1, 11, size=(3, 4))
+    x0 = rng.standard_normal((3, 4, 2))
+    eps = rng.standard_normal((3, 4, 2))
+    out = emb.forward_noise(x0, ts, eps, schedule)
+    for i, j in np.ndindex(ts.shape):
+        assert np.array_equal(out[i, j], emb.forward_noise(x0[i, j], ts[i, j], eps[i, j], schedule))
+    ts[2, 1] = 11
+    with pytest.raises(ContractError):
+        emb.forward_noise(x0, ts, eps, schedule)
+
+
 def test_zero_iterations_returns_anchor_bit_exact():
     schedule = emb.NoiseSchedule.linear(50)
     den = emb.LinearToyDenoiser(np.eye(2))
@@ -162,6 +176,58 @@ def test_embed_dataset_shuffle_with_item_seeds_same_multiset():
     a = base.embeddings[np.lexsort(base.embeddings.T)]
     b = shuffled.embeddings[np.lexsort(shuffled.embeddings.T)]
     assert np.array_equal(a, b)
+
+
+def _tape_embed(sample, anchor, den, schedule, cfg, seed):
+    """One item's embedding loop on the autodiff tape: the reference."""
+    e = np.array(anchor, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    for _ in range(cfg.iterations):
+        ts = rng.integers(1, schedule.timesteps + 1, size=cfg.batch_size)
+        eps = rng.standard_normal((cfg.batch_size, sample.shape[0]))
+        ab = schedule.alpha_bar[ts - 1][:, None]
+        noisy = np.sqrt(ab) * sample + np.sqrt(1.0 - ab) * eps
+
+        def loss(P):
+            pred = den.predict(noisy, ts, P["e"])
+            return ad.mul(ad.sumsq(ad.sub(eps, pred)), 1.0 / cfg.batch_size)
+
+        _, grads = ad.eval_and_grad(loss, {"e": e})
+        e = e - cfg.learning_rate * grads["e"]
+    return e
+
+
+def test_embed_dataset_matches_per_item_tape_loop():
+    # 24 configurations: D 2-4, 1-8 items, batch sizes 1-64, 0-30 iterations
+    worst = 0.0
+    for i in range(24):
+        rng = np.random.default_rng(500 + i)
+        dim = 2 + i % 3
+        count = [1, 8, 3, 5, 2, 7, 4, 6][i % 8]
+        cfg = emb.EmbedConfig(iterations=[0, 1, 12, 30][i % 4],
+                              batch_size=[1, 64, 7, 32, 19][i % 5],
+                              learning_rate=float(rng.uniform(0.005, 0.05)),
+                              seed=int(rng.integers(0, 1000)))
+        schedule = emb.NoiseSchedule.linear(int(rng.integers(5, 60)))
+        den = emb.LinearToyDenoiser(np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)))
+        samples = rng.standard_normal((count, dim))
+        labels = rng.integers(0, 3, count)
+        anchors = rng.standard_normal((3, dim))
+        out = emb.embed_dataset(samples, labels, anchors, den, schedule, cfg).embeddings
+        for j in range(count):
+            ref = _tape_embed(samples[j], anchors[labels[j]], den, schedule, cfg,
+                              emb.derive_item_seed(cfg.seed, j))
+            worst = max(worst, rel_err(out[j], ref))
+    assert worst <= 1e-10
+
+
+def test_divergence_names_first_non_finite_item():
+    schedule = emb.NoiseSchedule.linear(20)
+    den = emb.LinearToyDenoiser(np.eye(2))
+    cfg = emb.EmbedConfig(iterations=5, batch_size=4, learning_rate=0.01, seed=0)
+    anchors = np.array([[0.0, 0.0], [1e300, -1e300]])
+    with pytest.raises(NumericError, match=r"^item 1: embedding aborted at iteration 0: "):
+        emb.embed_dataset(np.ones((3, 2)), np.array([0, 1, 1]), anchors, den, schedule, cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

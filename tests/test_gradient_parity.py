@@ -1,15 +1,16 @@
 """The hand-written training gradients against the autodiff tape.
 
-The two training loops differentiate their losses by hand
-(``invariant_loss_and_grad`` and ``classifier_loss_and_grad``); the tape,
-whose primitives criterion 3 checks against finite differences, is the
-reference they must match.  The flat Adam update must equal the per-array
+The two training loops and the embedding loop differentiate their losses by
+hand (``invariant_loss_and_grad``, ``classifier_loss_and_grad`` and the toy
+denoiser's ``loss_and_grad``); the tape, whose primitives criterion 3 checks
+against finite differences, is the reference they must match.  The flat Adam update must equal the per-array
 update it replaced, bit for bit.
 """
 
 import numpy as np
 
-from ncis import autodiff as ad, cvpn, invariant_training as it, ood_classifier as oc
+from ncis import autodiff as ad, cvpn, embedding as emb, invariant_training as it
+from ncis import ood_classifier as oc
 from ncis.optim import adam_init, adam_update, flatten_params, views_like
 
 from conftest import rel_err
@@ -132,3 +133,23 @@ def test_flat_adam_equals_per_array_update_bitwise():
         for name in shapes:
             assert np.array_equal(params[name], ref[name]), (step, name)
         assert np.array_equal(params["t"], untouched)
+
+
+def test_toy_denoiser_gradients_match_tape():
+    for i in range(12):
+        rng = np.random.default_rng(6000 + i)
+        dim, count, batch = 2 + i % 3, 1 + i % 4, int(rng.integers(1, 40))
+        den = emb.LinearToyDenoiser(np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)))
+        noisy = rng.standard_normal((count, batch, dim))
+        eps = rng.standard_normal((count, batch, dim))
+        ts = rng.integers(1, 21, (count, batch))
+        es = rng.standard_normal((count, dim))
+        loss, grad = den.loss_and_grad(noisy, eps, es)
+        assert loss.shape == (count,) and grad.shape == (count, dim)
+        for j in range(count):
+            def tape_loss(P):
+                pred = den.predict(noisy[j], ts[j], P["e"])
+                return ad.mul(ad.sumsq(ad.sub(eps[j], pred)), 1.0 / batch)
+
+            ref_loss, ref_grads = ad.eval_and_grad(tape_loss, {"e": es[j]})
+            _assert_parity(float(loss[j]), {"e": grad[j]}, ref_loss, ref_grads, (i, j))

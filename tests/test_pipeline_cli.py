@@ -130,6 +130,19 @@ def test_toy_denoiser_source_smoke(tmp_path):
     assert np.all(np.isfinite(train.embeddings))
 
 
+def test_toy_denoiser_zero_iterations_writes_the_anchors(tmp_path):
+    # the configured budget is honoured: no iterations leave every item at
+    # its class anchor
+    cfg = tiny_cfg("embed.source = toy-denoiser\nbenchmark.n_per_class = 15\n"
+                   "benchmark.ood_count = 30\nembed.iterations = 0\n")
+    out = tmp_path / "anchors"
+    pipeline.run_pipeline(cfg, out, stages=["embed"])
+    train = artifacts.load_embeddings_csv(out / "embeddings_train.csv")
+    assert len(np.unique(train.embeddings, axis=0)) <= train.class_count
+    ood = artifacts.load_points_csv(out / "ood_test.csv")
+    assert len(np.unique(ood, axis=0)) == 1
+
+
 def test_sweep_lambda_magnitudes_non_decreasing(tmp_path):
     # needs a converged network: before the invariants collapse, the
     # regularizer is negligible against their residual variance and the
@@ -182,6 +195,15 @@ def test_cli_bad_config_fails(tmp_path, capsys):
     rc = cli.main(["run-all", "--config", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_file", [False, True], ids=["defaults", "empty-file"])
+def test_cli_env_overrides_apply_without_config_file(tmp_path, monkeypatch, with_file):
+    monkeypatch.setenv("NCIS_SEED", "3")
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    argv = ["embed", "--config", str(empty)] if with_file else ["embed"]
+    assert cli._load(cli.build_parser().parse_args(argv)).seed == 3
 
 
 def test_cli_seed_flag_overrides(tmp_path):
