@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
 
@@ -119,10 +120,11 @@ class LinearToyDenoiser(Denoiser):
 
 @dataclass
 class EmbedConfig:
-    iterations: int = 3
-    batch_size: int = 32
-    learning_rate: float = 1e-2
-    seed: int = 0
+    # the pipeline's defaults, so a library caller runs the same loop
+    iterations: int = RunConfig.embed_iterations
+    batch_size: int = RunConfig.embed_batch_size
+    learning_rate: float = RunConfig.embed_learning_rate
+    seed: int = RunConfig.seed
 
     def __post_init__(self):
         if self.iterations < 0:

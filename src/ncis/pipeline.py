@@ -26,6 +26,7 @@ import itertools
 import json
 import os
 import shutil
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -409,34 +410,122 @@ def _copy_shared_stages(src: Path, dst: Path):
     _store_manifest(dst, manifest)
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _env_count(name, default):
+    value = os.environ.get(name, "").strip()
+    return int(value) if value.isdigit() and int(value) > 0 else default
+
+
+def _sweep_workers(branches):
+    """Worker processes for ``branches`` sweep branches: the usable CPUs over
+    the threads each process's BLAS may run, at most one per branch.
+
+    Workers on top of a multi-threaded BLAS oversubscribe the CPUs: with two
+    CPUs and BLAS at its default of one thread per CPU, two workers made a
+    sweep 3-7x slower than running its branches inline.  The BLAS thread
+    count is read as OpenBLAS and MKL read it: their own variable, else
+    OMP_NUM_THREADS, else every CPU; the larger of the two counts.
+    """
+    cpus = _usable_cpus()
+    omp = _env_count("OMP_NUM_THREADS", cpus)
+    blas = max(_env_count("OPENBLAS_NUM_THREADS", omp), _env_count("MKL_NUM_THREADS", omp))
+    return min(branches, max(1, cpus // blas))
+
+
+def _fork_pool(workers):
+    """A pool of ``workers`` forked processes; None for fewer than two, or
+    where fork is unavailable or, as on macOS, unsafe.  Forked, not spawned:
+    a spawned worker would import numpy again before its first task."""
+    if workers < 2 or sys.platform == "darwin":
+        return None
+    # imported here so that `import ncis` does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _sweep_branch(cfg: RunConfig, sub_dir: Path, stages):
+    """One value's branch of the sweep: run ``stages`` in ``sub_dir`` and read
+    back its sweep row.
+
+    Returns ``(row, log lines, error)``.  When a stage fails, ``row`` is None
+    and ``error`` is its ``NcisError``, so the caller can print the lines
+    written before the failure and then raise it.
+    """
+    lines = []
+    try:
+        run_pipeline(cfg, sub_dir, stages=stages, log=lines.append)
+        model = artifacts.load_cvpn(sub_dir / "cvpn.txt")
+        outliers = artifacts.load_outliers_csv(sub_dir / "outliers.csv")
+        magnitude = outlier_sampling.mean_invariant_magnitude(model, outliers)
+        _, _, fpr, auc, acc = artifacts.load_metrics_csv(sub_dir / "metrics.csv")[0]
+    except NcisError as err:
+        return None, lines, err
+    return (cfg.density_lambda, fpr, auc, acc, magnitude), lines, None
+
+
+def _collect_rows(results, log):
+    """Sweep rows from branch results in value order, printing each branch's
+    lines through ``log``; raises the first branch error met."""
+    rows = []
+    for row, lines, err in results:
+        if log:
+            for line in lines:
+                log(line)
+        if err is not None:
+            raise err
+        rows.append(row)
+    return rows
+
+
 def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     """Full pipeline per regularization value; returns the sweep table rows.
 
     Each value runs in its own ``lambda_<value>`` subdirectory with the same
-    seed.  The stages before fit-density do not read lambda, so the first
-    value runs in full; each further directory first receives copies of that
-    directory's embed and train-cvpn outputs and manifest records, which
-    ``run_pipeline`` then skips by key.  The cVPN is trained once, and every
-    directory still holds the full artifact set, byte for byte that of a
-    separate run at its value.
+    seed.  The stages before fit-density do not read lambda, so they run once,
+    in the first value's directory; every further directory then receives
+    copies of their outputs and manifest records, which ``run_pipeline``
+    skips by key.  Every directory still holds the full artifact set, byte
+    for byte that of a separate run at its value.
+
+    The per-value branches (fit-density onward) are independent.  They run in
+    worker processes forked from this one, one per usable CPU left after
+    BLAS threads and at most one per value (see ``_sweep_workers``), or
+    inline when that leaves one worker or fork is unavailable or unsafe.  Each
+    branch's log lines are passed to ``log`` when it finishes, in value
+    order, so the lines and their order match a one-at-a-time sweep.  A
+    failing value raises its ``PipelineError`` once every earlier value has
+    finished; branches already started run to completion, but values still
+    waiting for a worker may not run.  No worker outlives the call.
     """
     lambdas = list(lambdas)
     names = _sweep_dir_names(lambdas)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    first = out_dir / names[0]
-    rows = []
-    for lam, name in zip(lambdas, names):
-        sub_cfg = replace(cfg, density_lambda=float(lam))
-        sub_dir = out_dir / name
-        if sub_dir != first:
-            _copy_shared_stages(first, sub_dir)
-        run_pipeline(sub_cfg, sub_dir, log=log)
-        model = artifacts.load_cvpn(sub_dir / "cvpn.txt")
-        outliers = artifacts.load_outliers_csv(sub_dir / "outliers.csv")
-        magnitude = outlier_sampling.mean_invariant_magnitude(model, outliers)
-        metrics = artifacts.load_metrics_csv(sub_dir / "metrics.csv")
-        _, _, fpr, auc, acc = metrics[0]
-        rows.append((float(lam), fpr, auc, acc, magnitude))
+    dirs = [out_dir / name for name in names]
+    cfgs = [replace(cfg, density_lambda=float(lam)) for lam in lambdas]
+    run_pipeline(cfgs[0], dirs[0], stages=SWEEP_SHARED_STAGES, log=log)
+    for sub_dir in dirs[1:]:
+        _copy_shared_stages(dirs[0], sub_dir)
+    branches = [(cfgs[0], dirs[0], STAGES[len(SWEEP_SHARED_STAGES):])]
+    branches += [(sub_cfg, sub_dir, STAGES) for sub_cfg, sub_dir in zip(cfgs[1:], dirs[1:])]
+
+    pool = _fork_pool(_sweep_workers(len(branches)))
+    if pool is None:
+        rows = _collect_rows((_sweep_branch(*branch) for branch in branches), log)
+    else:
+        try:
+            futures = [pool.submit(_sweep_branch, *branch) for branch in branches]
+            rows = _collect_rows((future.result() for future in futures), log)
+        finally:
+            pool.shutdown(cancel_futures=True)
     artifacts.save_sweep_csv(rows, out_dir / "sweep_metrics.csv")
     return rows

@@ -3,6 +3,7 @@ import pytest
 
 from ncis import autodiff as ad
 from ncis import embedding as emb
+from ncis.config import RunConfig
 from ncis.errors import ContractError, NumericError
 
 from conftest import rel_err
@@ -245,6 +246,13 @@ def test_denoiser_matrix_validation():
         emb.LinearToyDenoiser(np.zeros((2, 2)))
     with pytest.raises(ContractError):
         emb.LinearToyDenoiser(np.ones((2, 3)))
+
+
+def test_embed_config_defaults_are_the_run_config_defaults():
+    # a library caller's EmbedConfig() runs the loop the pipeline runs at defaults
+    lib, run = emb.EmbedConfig(), RunConfig()
+    assert (lib.iterations, lib.batch_size, lib.learning_rate, lib.seed) == (
+        run.embed_iterations, run.embed_batch_size, run.embed_learning_rate, run.seed)
 
 
 def test_config_validation():

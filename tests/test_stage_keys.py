@@ -1,14 +1,18 @@
 """Per-stage cache keys: skip, recompute and refuse, and the sweep's reuse."""
 
 import filecmp
+import multiprocessing
+import os
 import shutil
+import sys
+import time
 from dataclasses import replace
 
 import pytest
 
 from ncis import invariant_training, pipeline
 from ncis.config import RunConfig, parse_config
-from ncis.errors import ArtifactError, ParseError
+from ncis.errors import ArtifactError, ParseError, PipelineError, SamplingError
 
 TINY = """
 seed = 5
@@ -118,6 +122,116 @@ def test_sweep_refuses_lambda_out_of_range(tmp_path, lam):
     with pytest.raises(ParseError, match="lambda"):
         pipeline.sweep_lambda(tiny_cfg(), out, lambdas=[1e-5, lam])
     assert not out.exists()
+
+
+def one_at_a_time_lines(lambdas):
+    """The log lines of running each value's pipeline in turn: the first in
+    full, every further one skipping the shared stages."""
+    wrote = [f"[{s}] wrote {', '.join(pipeline.STAGE_OUTPUTS[s])}" for s in pipeline.STAGES]
+    skipped = [f"[{s}] outputs up to date, skipping" for s in pipeline.SWEEP_SHARED_STAGES]
+    return wrote + (len(lambdas) - 1) * (skipped + wrote[len(skipped):])
+
+
+# where the sweep may fork its workers
+FORKS = sys.platform != "darwin" and "fork" in multiprocessing.get_all_start_methods()
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_sweep_forked_and_inline_branches_agree(tmp_path, monkeypatch):
+    # two workers run the branches in forked processes, one runs them in
+    # this process; both print the one-at-a-time lines and write the same bytes
+    fit = pipeline._STAGE_BODIES["fit-density"]
+    pids = tmp_path / "pids"
+    pids.mkdir()
+
+    def fit_recording_pid(cfg, run_dir, dest):
+        (pids / f"{run_dir.parent.name}-{run_dir.name}").write_text(str(os.getpid()))
+        fit(cfg, run_dir, dest)
+
+    monkeypatch.setitem(pipeline._STAGE_BODIES, "fit-density", fit_recording_pid)
+    rows = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: workers)
+        messages = []
+        rows[workers] = pipeline.sweep_lambda(tiny_cfg(), tmp_path / f"workers{workers}",
+                                              log=messages.append)
+        assert messages == one_at_a_time_lines(pipeline.DEFAULT_SWEEP)
+        assert multiprocessing.active_children() == []
+    ran_in = {workers: {int(p.read_text()) for p in pids.glob(f"workers{workers}-*")}
+              for workers in (1, 2)}
+    assert ran_in[1] == {os.getpid()}
+    if FORKS:
+        assert os.getpid() not in ran_in[2]
+    assert rows[1] == rows[2]
+    assert tree_bytes(tmp_path / "workers1") == tree_bytes(tmp_path / "workers2")
+
+
+@pytest.mark.parametrize("cpus, env, branches, workers", [
+    (2, {}, 4, 1),
+    (2, {"OMP_NUM_THREADS": "1"}, 4, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, 1),
+    (2, {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, 4, 2),
+    (8, {"OMP_NUM_THREADS": "2"}, 4, 4),
+    (8, {"OMP_NUM_THREADS": "1"}, 3, 3),
+    (4, {"OMP_NUM_THREADS": "zero"}, 4, 1),
+    (1, {"OMP_NUM_THREADS": "1"}, 4, 1),
+])
+def test_sweep_workers_leave_room_for_blas_threads(monkeypatch, cpus, env, branches, workers):
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    assert pipeline._sweep_workers(branches) == workers
+
+
+def test_failing_sweep_raises_what_the_first_value_alone_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: 2)
+    bad = tiny_cfg("sample.max_attempts = 1\n")
+    alone_messages, messages = [], []
+    with pytest.raises(PipelineError) as alone:
+        pipeline.run_pipeline(replace(bad, density_lambda=pipeline.DEFAULT_SWEEP[0]),
+                              tmp_path / "alone", log=alone_messages.append)
+    with pytest.raises(PipelineError) as swept:
+        pipeline.sweep_lambda(bad, tmp_path / "sweep", log=messages.append)
+    assert str(swept.value) == str(alone.value)
+    assert str(swept.value).startswith("stage 'sample-outliers': class 0: accepted")
+    assert messages == alone_messages
+    assert multiprocessing.active_children() == []
+    assert len(pipeline.sweep_lambda(tiny_cfg(), tmp_path / "fresh")) == len(pipeline.DEFAULT_SWEEP)
+
+
+@pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
+def test_sweep_raises_first_failure_in_list_order_after_started_branches(tmp_path, monkeypatch):
+    # with two workers, 1e-6 waits in one while the other runs 1e-5 to the
+    # end and then fails 1e-4; 1e-6 fails last in time but first in the list
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: 2)
+    sample = pipeline._STAGE_BODIES["sample-outliers"]
+    later_failed = tmp_path / "later-failed"
+
+    def sample_failing(cfg, run_dir, dest):
+        if cfg.density_lambda == 1e-4:
+            later_failed.touch()
+            raise SamplingError("no outliers at lambda 1e-04")
+        if cfg.density_lambda == 1e-6:
+            deadline = time.monotonic() + 60
+            while not later_failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise SamplingError("no outliers at lambda 1e-06")
+        sample(cfg, run_dir, dest)
+
+    monkeypatch.setitem(pipeline._STAGE_BODIES, "sample-outliers", sample_failing)
+    out = tmp_path / "sweep"
+    messages = []
+    with pytest.raises(PipelineError, match="^stage 'sample-outliers': no outliers at lambda 1e-06$"):
+        pipeline.sweep_lambda(tiny_cfg(), out, log=messages.append)
+    assert later_failed.exists()
+    assert messages == one_at_a_time_lines([1e-6])[:3]
+    assert (out / "lambda_1e-05" / "metrics.csv").exists()
+    assert multiprocessing.active_children() == []
 
 
 class ReadRecorder:
