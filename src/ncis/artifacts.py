@@ -8,7 +8,9 @@ line.  Loaders validate structure eagerly and name the offending field.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -151,30 +153,34 @@ def _checked_params(path, params, arrays):
 # model / bank / classifier records
 # ---------------------------------------------------------------------------
 
+def _meta_fields(cls):
+    """(name, type) of each field of a model dataclass but its params, in
+    meta-line order."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls) if f.name != "params"]
+
+
+def _save_model(model, kind, path):
+    meta = {name: _fmt(getattr(model, name)) if cast is float else getattr(model, name)
+            for name, cast in _meta_fields(type(model))}
+    write_record(path, kind, meta, model.params)
+
+
+def _load_model(path, kind, cls, build):
+    """``build(**meta)`` of the record's meta fields, its parameters then
+    replaced by the record's arrays."""
+    meta, arrays = read_record(path, kind)
+    model = build(**{name: _field(path, meta, name, cast) for name, cast in _meta_fields(cls)})
+    model.params = _checked_params(path, model.params, arrays)
+    return model
+
+
 def save_cvpn(model: CvpnModel, path):
-    meta = {
-        "dim": model.dim,
-        "num_invariants": model.num_invariants,
-        "class_count": model.class_count,
-        "num_blocks": model.num_blocks,
-        "hidden_width": model.hidden_width,
-        "seed": model.seed,
-    }
-    write_record(path, "cvpn", meta, model.params)
+    _save_model(model, "cvpn", path)
 
 
 def load_cvpn(path) -> CvpnModel:
-    meta, arrays = read_record(path, "cvpn")
-    model = build_cvpn(
-        dim=_field(path, meta, "dim"),
-        num_invariants=_field(path, meta, "num_invariants"),
-        num_blocks=_field(path, meta, "num_blocks"),
-        class_count=_field(path, meta, "class_count"),
-        hidden_width=_field(path, meta, "hidden_width"),
-        seed=_field(path, meta, "seed"),
-    )
-    model.params = _checked_params(path, model.params, arrays)
-    return model
+    return _load_model(path, "cvpn", CvpnModel, build_cvpn)
 
 
 def save_bank(bank: ClassGaussianBank, path):
@@ -194,53 +200,37 @@ def load_bank(path) -> ClassGaussianBank:
     dim = _field(path, meta, "dim")
     if not (np.isfinite(lam) and lam > 0):
         raise ArtifactError(f"{path}: meta field 'lam' must be finite and positive, got {lam!r}")
-    means = np.empty((class_count, dim))
-    covs = np.empty((class_count, dim, dim))
-    chols = np.empty((class_count, dim, dim))
-    logdens = []
-    eye = np.eye(dim)
+    if class_count < 1 or dim < 1:
+        raise ArtifactError(f"{path}: meta fields 'class_count' and 'dim' must be >= 1, "
+                            f"got {class_count} and {dim}")
     for c in range(class_count):
-        for field, want in ((f"mean{c}", (dim,)), (f"cov{c}", (dim, dim))):
+        for field, want in ((f"mean{c}", (dim,)), (f"cov{c}", (dim, dim)), (f"train_logdens{c}", None)):
             if field not in arrays:
                 raise ArtifactError(f"{path}: missing array '{field}'")
-            if arrays[field].shape != want:
+            if want and arrays[field].shape != want:
                 raise ArtifactError(f"{path}: array '{field}' has shape {arrays[field].shape}, expected {want}")
-        if f"train_logdens{c}" not in arrays:
-            raise ArtifactError(f"{path}: missing array 'train_logdens{c}'")
-        means[c] = arrays[f"mean{c}"]
-        covs[c] = arrays[f"cov{c}"]
+    extra = set(arrays) - {f"{kind}{c}" for c in range(class_count)
+                           for kind in ("mean", "cov", "train_logdens")}
+    if extra:
+        raise ArtifactError(f"{path}: unexpected array '{sorted(extra)[0]}'")
+    means = np.stack([arrays[f"mean{c}"] for c in range(class_count)])
+    covs = np.stack([arrays[f"cov{c}"] for c in range(class_count)])
+    chols = np.empty_like(covs)
+    for c in range(class_count):
         try:
-            chols[c] = np.linalg.cholesky(covs[c] + lam * eye)
+            chols[c] = np.linalg.cholesky(covs[c] + lam * np.eye(dim))
         except np.linalg.LinAlgError as err:
             raise ArtifactError(f"{path}: array 'cov{c}' is not positive semi-definite") from err
-        logdens.append(np.asarray(arrays[f"train_logdens{c}"]))
+    logdens = [arrays[f"train_logdens{c}"] for c in range(class_count)]
     return ClassGaussianBank(lam, means, covs, chols, logdens)
 
 
 def save_classifier(clf: EnergyClassifier, path):
-    meta = {
-        "dim": clf.dim,
-        "class_count": clf.class_count,
-        "hidden_width": clf.hidden_width,
-        "phi_hidden": clf.phi_hidden,
-        "beta": _fmt(clf.beta),
-        "seed": clf.seed,
-    }
-    write_record(path, "classifier", meta, clf.params)
+    _save_model(clf, "classifier", path)
 
 
 def load_classifier(path) -> EnergyClassifier:
-    meta, arrays = read_record(path, "classifier")
-    clf = build_energy_classifier(
-        dim=_field(path, meta, "dim"),
-        class_count=_field(path, meta, "class_count"),
-        hidden_width=_field(path, meta, "hidden_width"),
-        phi_hidden=_field(path, meta, "phi_hidden"),
-        beta=_field(path, meta, "beta", float),
-        seed=_field(path, meta, "seed"),
-    )
-    clf.params = _checked_params(path, clf.params, arrays)
-    return clf
+    return _load_model(path, "classifier", EnergyClassifier, build_energy_classifier)
 
 
 # ---------------------------------------------------------------------------

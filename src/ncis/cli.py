@@ -9,15 +9,6 @@ from .config import RunConfig, load_config, parse_config
 from .errors import NcisError, ParseError
 from .pipeline import DEFAULT_SWEEP, STAGES, run_pipeline, sweep_lambda
 
-_STAGE_HELP = {
-    "embed": "produce the labeled embedding CSVs (and the OOD test points)",
-    "train-cvpn": "select the invariant count and fit the volume-preserving network",
-    "fit-density": "fit the class-conditional Gaussians in invariant space",
-    "sample-outliers": "rejection-sample boundary outliers and map them back",
-    "train-classifier": "train the energy-regularized classifier on ID data plus outliers",
-    "evaluate": "score held-out ID and OOD points and write the metrics CSV",
-}
-
 
 def _add_common(parser):
     parser.add_argument("--config", metavar="PATH", default=None,
@@ -34,8 +25,8 @@ def build_parser():
         description="Learn class-conditional invariants, synthesize boundary outliers, "
                     "and train an OOD-aware classifier.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in STAGES:
-        p = sub.add_parser(stage, help=_STAGE_HELP[stage])
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         _add_common(p)
     p = sub.add_parser("run-all", help="run every stage in order")
     _add_common(p)

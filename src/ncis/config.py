@@ -5,7 +5,9 @@ Keys are dotted and namespaced per pipeline stage (``density.lambda``,
 aliases (``lambda``, ``p``, ``beta``, ``q``).  ``#`` starts a comment.
 Unknown keys, type mismatches and out-of-range values are parse errors that
 name the offending line.  After the file, environment variables of the form
-``NCIS_<KEY>`` (dots replaced by underscores, upper-cased) override values.
+``NCIS_<KEY>`` (dots replaced by underscores, upper-cased) override values;
+two variables that set the same key (``NCIS_LAMBDA`` and
+``NCIS_DENSITY_LAMBDA``) are a parse error.
 With ``embed.source = csv``, every ``data.*_csv`` path must then be set.
 """
 
@@ -85,38 +87,39 @@ def _source_choice(v):
     return v in ("toy-benchmark", "toy-denoiser", "csv")
 
 
-# key -> (attribute, parser, range check, range description)
+# key -> (range check, range description).  A key's RunConfig field is the key
+# with its dot as an underscore, and its type is the type of that field's default.
 KEY_TABLE = {
-    "seed": ("seed", int, _non_negative_int, ">= 0"),
-    "benchmark.n_per_class": ("benchmark_n_per_class", int, _positive_int, ">= 1"),
-    "benchmark.noise": ("benchmark_noise", float, _positive_float, "> 0"),
-    "benchmark.margin": ("benchmark_margin", float, _positive_float, "> 0"),
-    "benchmark.ood_count": ("benchmark_ood_count", int, _positive_int, ">= 1"),
-    "embed.source": ("embed_source", str, _source_choice, "one of toy-benchmark|toy-denoiser|csv"),
-    "embed.iterations": ("embed_iterations", int, _non_negative_int, ">= 0"),
-    "embed.batch_size": ("embed_batch_size", int, _positive_int, ">= 1"),
-    "embed.learning_rate": ("embed_learning_rate", float, _positive_float, "> 0"),
-    "embed.timesteps": ("embed_timesteps", int, _positive_int, ">= 1"),
-    "data.train_csv": ("data_train_csv", str, _any_string, "a path"),
-    "data.heldout_csv": ("data_heldout_csv", str, _any_string, "a path"),
-    "data.ood_csv": ("data_ood_csv", str, _any_string, "a path"),
-    "invariants.p": ("invariants_p", float, _open_percent, "in (0, 100)"),
-    "invariants.k_override": ("invariants_k_override", int, _non_negative_int, ">= 0"),
-    "cvpn.num_blocks": ("cvpn_num_blocks", int, _positive_int, ">= 1"),
-    "cvpn.hidden_width": ("cvpn_hidden_width", int, _positive_int, ">= 1"),
-    "cvpn.train_lr": ("cvpn_train_lr", float, _positive_float, "> 0"),
-    "cvpn.train_iterations": ("cvpn_train_iterations", int, _positive_int, ">= 1"),
-    "cvpn.train_batch": ("cvpn_train_batch", int, _positive_int, ">= 1"),
-    "density.lambda": ("density_lambda", float, _positive_float, "> 0"),
-    "sample.n_per_class": ("sample_n_per_class", int, _positive_int, ">= 1"),
-    "sample.q": ("sample_q", float, _open_unit, "in (0, 1)"),
-    "sample.max_attempts": ("sample_max_attempts", int, _non_negative_int, ">= 0"),
-    "classifier.beta": ("classifier_beta", float, _non_negative_float, ">= 0"),
-    "classifier.epochs": ("classifier_epochs", int, _positive_int, ">= 1"),
-    "classifier.lr": ("classifier_lr", float, _positive_float, "> 0"),
-    "classifier.batch": ("classifier_batch", int, _positive_int, ">= 1"),
-    "classifier.hidden_width": ("classifier_hidden_width", int, _positive_int, ">= 1"),
-    "classifier.phi_hidden": ("classifier_phi_hidden", int, _positive_int, ">= 1"),
+    "seed": (_non_negative_int, ">= 0"),
+    "benchmark.n_per_class": (_positive_int, ">= 1"),
+    "benchmark.noise": (_positive_float, "> 0"),
+    "benchmark.margin": (_positive_float, "> 0"),
+    "benchmark.ood_count": (_positive_int, ">= 1"),
+    "embed.source": (_source_choice, "one of toy-benchmark|toy-denoiser|csv"),
+    "embed.iterations": (_non_negative_int, ">= 0"),
+    "embed.batch_size": (_positive_int, ">= 1"),
+    "embed.learning_rate": (_positive_float, "> 0"),
+    "embed.timesteps": (_positive_int, ">= 1"),
+    "data.train_csv": (_any_string, "a path"),
+    "data.heldout_csv": (_any_string, "a path"),
+    "data.ood_csv": (_any_string, "a path"),
+    "invariants.p": (_open_percent, "in (0, 100)"),
+    "invariants.k_override": (_non_negative_int, ">= 0"),
+    "cvpn.num_blocks": (_positive_int, ">= 1"),
+    "cvpn.hidden_width": (_positive_int, ">= 1"),
+    "cvpn.train_lr": (_positive_float, "> 0"),
+    "cvpn.train_iterations": (_positive_int, ">= 1"),
+    "cvpn.train_batch": (_positive_int, ">= 1"),
+    "density.lambda": (_positive_float, "> 0"),
+    "sample.n_per_class": (_positive_int, ">= 1"),
+    "sample.q": (_open_unit, "in (0, 1)"),
+    "sample.max_attempts": (_non_negative_int, ">= 0"),
+    "classifier.beta": (_non_negative_float, ">= 0"),
+    "classifier.epochs": (_positive_int, ">= 1"),
+    "classifier.lr": (_positive_float, "> 0"),
+    "classifier.batch": (_positive_int, ">= 1"),
+    "classifier.hidden_width": (_positive_int, ">= 1"),
+    "classifier.phi_hidden": (_positive_int, ">= 1"),
 }
 
 ALIASES = {
@@ -132,17 +135,22 @@ ENV_PREFIX = "NCIS_"
 CSV_SOURCE_FIELDS = ("data_train_csv", "data_heldout_csv", "data_ood_csv")
 
 
+def _field(key):
+    return key.replace(".", "_")
+
+
+def _key(attr):
+    return attr.replace("_", ".", 1)
+
+
 def _parse_value(key, raw, line=None):
-    attr, parser, check, desc = KEY_TABLE[key]
+    check, desc = KEY_TABLE[key]
+    attr = _field(key)
+    kind = type(getattr(RunConfig, attr))
     try:
-        if parser is int:
-            value = int(raw)
-        elif parser is float:
-            value = float(raw)
-        else:
-            value = raw
+        value = kind(raw)
     except ValueError:
-        raise ParseError(f"value for '{key}' must be {parser.__name__}, got {raw!r}", line)
+        raise ParseError(f"value for '{key}' must be {kind.__name__}, got {raw!r}", line)
     if not check(value):
         raise ParseError(f"value for '{key}' out of range (must be {desc}), got {raw!r}", line)
     return attr, value
@@ -156,11 +164,18 @@ def _resolve_key(key, line=None):
 
 
 def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
+    """Set each key named by an ``NCIS_<KEY>`` variable; two that name the
+    same key (a key's and an alias's) are a ``ParseError``."""
     environ = os.environ if environ is None else environ
+    set_by = {}
     for key in list(KEY_TABLE) + list(ALIASES):
         env_name = ENV_PREFIX + key.upper().replace(".", "_")
         if env_name in environ:
             canonical = _resolve_key(key)
+            if canonical in set_by:
+                raise ParseError(f"environment variables {set_by[canonical]} and {env_name} "
+                                 f"both set '{canonical}'")
+            set_by[canonical] = env_name
             try:
                 attr, value = _parse_value(canonical, environ[env_name])
             except ParseError as err:
@@ -188,8 +203,7 @@ def parse_config(text: str, environ=None) -> RunConfig:
     if cfg.embed_source == "csv":
         for attr in CSV_SOURCE_FIELDS:
             if not getattr(cfg, attr):
-                key = attr.replace("_", ".", 1)
-                raise ParseError(f"embed.source = csv needs a path for '{key}'")
+                raise ParseError(f"embed.source = csv needs a path for '{_key(attr)}'")
     return cfg
 
 
@@ -197,7 +211,13 @@ def load_config(path, environ=None) -> RunConfig:
     return parse_config(Path(path).read_text(), environ)
 
 
+def namespace_fields(namespaces):
+    """The RunConfig fields of the keys in ``namespaces``, each a whole key
+    (``seed``, ``embed.source``) or a namespace (``cvpn`` for every ``cvpn.*``)."""
+    return tuple(_field(key) for key in KEY_TABLE
+                 if any(key == ns or key.startswith(ns + ".") for ns in namespaces))
+
+
 def config_lines(cfg: RunConfig, attrs):
     """Canonical `key = value` rendering of the fields ``attrs``, sorted by key."""
-    by_attr = {attr: key for key, (attr, _, _, _) in KEY_TABLE.items()}
-    return sorted(f"{by_attr[attr]} = {getattr(cfg, attr)!r}" for attr in attrs)
+    return sorted(f"{_key(attr)} = {getattr(cfg, attr)!r}" for attr in attrs)

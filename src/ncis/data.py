@@ -41,9 +41,6 @@ class LabeledEmbeddingSet:
     def class_points(self, label):
         return self.embeddings[self.labels == label]
 
-    def subset(self, index):
-        return LabeledEmbeddingSet(self.embeddings[index], self.labels[index], self.class_count)
-
 
 def require_min_class_size(data: LabeledEmbeddingSet, minimum: int):
     for label in range(data.class_count):

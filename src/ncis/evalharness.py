@@ -126,7 +126,7 @@ def _sample_class(rng, arc, count, noise):
 
 
 def make_toy_benchmark(seed, n_per_class, noise=0.05, margin=0.3,
-                       heldout_per_class=None, ood_count=None) -> ToyBenchmark:
+                       ood_count=None) -> ToyBenchmark:
     """Deterministic three-class 2-d benchmark with an off-manifold OOD set."""
     if n_per_class < 1:
         raise ContractError("n_per_class must be at least 1")
@@ -134,8 +134,6 @@ def make_toy_benchmark(seed, n_per_class, noise=0.05, margin=0.3,
         raise ContractError("noise and margin must be positive")
     if noise >= margin:
         raise ContractError("noise must stay below the OOD margin")
-    if heldout_per_class is None:
-        heldout_per_class = n_per_class
     if ood_count is None:
         ood_count = 3 * n_per_class
 
@@ -147,8 +145,8 @@ def make_toy_benchmark(seed, n_per_class, noise=0.05, margin=0.3,
     for label, arc in enumerate(arcs):
         train_pts.append(_sample_class(rng, arc, n_per_class, noise))
         train_labels.append(np.full(n_per_class, label, dtype=np.int64))
-        heldout_pts.append(_sample_class(rng, arc, heldout_per_class, noise))
-        heldout_labels.append(np.full(heldout_per_class, label, dtype=np.int64))
+        heldout_pts.append(_sample_class(rng, arc, n_per_class, noise))
+        heldout_labels.append(np.full(n_per_class, label, dtype=np.int64))
     train = LabeledEmbeddingSet(np.concatenate(train_pts), np.concatenate(train_labels), 3)
     heldout = LabeledEmbeddingSet(np.concatenate(heldout_pts), np.concatenate(heldout_labels), 3)
 

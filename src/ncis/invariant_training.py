@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import cvpn
+from .config import RunConfig
 from .data import LabeledEmbeddingSet, require_min_class_size
 from .errors import ContractError, NumericError
 from .mlp import tanh_mlp, tanh_mlp_backward
@@ -25,10 +26,11 @@ from .optim import adam_init, adam_update, flatten_params, views_like
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    iterations: int = 5000
-    batch_size: int = 128
-    seed: int = 0
+    # the pipeline's defaults, so a library caller runs the same loop
+    learning_rate: float = RunConfig.cvpn_train_lr
+    iterations: int = RunConfig.cvpn_train_iterations
+    batch_size: int = RunConfig.cvpn_train_batch
+    seed: int = RunConfig.seed
 
     def __post_init__(self):
         if self.iterations < 1:

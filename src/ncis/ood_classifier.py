@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import RunConfig
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
 from .mlp import tanh_mlp, tanh_mlp_backward, tape_tanh_mlp
@@ -24,13 +25,14 @@ from .optim import adam_init, adam_update, flatten_params, views_like
 
 @dataclass
 class ClassifierConfig:
-    epochs: int = 800
-    learning_rate: float = 3e-3
-    batch_size: int = 128
-    beta: float = 1.0
-    seed: int = 0
-    hidden_width: int = 64
-    phi_hidden: int = 8
+    # the pipeline's defaults, so a library caller trains the same classifier
+    epochs: int = RunConfig.classifier_epochs
+    learning_rate: float = RunConfig.classifier_lr
+    batch_size: int = RunConfig.classifier_batch
+    beta: float = RunConfig.classifier_beta
+    seed: int = RunConfig.seed
+    hidden_width: int = RunConfig.classifier_hidden_width
+    phi_hidden: int = RunConfig.classifier_phi_hidden
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -62,6 +64,8 @@ def build_energy_classifier(dim, class_count, hidden_width=64, phi_hidden=8,
     score is identically zero before training."""
     if dim < 1 or class_count < 1:
         raise ContractError("dim and class_count must be positive")
+    if hidden_width < 1 or phi_hidden < 1:
+        raise ContractError("widths must be positive")
     if beta < 0:
         raise ContractError("beta must be non-negative")
     rng = np.random.default_rng(seed)

@@ -1,11 +1,13 @@
 """Pipeline orchestration: stages, artifact reuse, and the lambda sweep.
 
 Stages communicate exclusively through versioned artifact files in the output
-directory, so every stage can also run standalone.  Each stage declares the
-configuration fields its body reads (``STAGE_FIELDS``) and the files it reads
-(``STAGE_INPUTS``, plus the external CSVs when ``embed.source = csv``).  Its
-cache key is a sha256 over the canonical ``key = value`` lines of those fields
-and the sha256 of each of those files, so a stage's key changes exactly when
+directory, so every stage can also run standalone.  ``STAGES`` holds one
+record per stage, in run order: its body, the configuration fields the body
+reads (named by key namespace, so a new ``cvpn.*`` key joins train-cvpn's
+fields), the artifacts it reads (plus the external CSVs when
+``embed.source = csv``) and writes, and its command-line help.  A stage's
+cache key is a sha256 over the canonical ``key = value`` lines of its fields
+and the sha256 of each file it reads, so the key changes exactly when
 something it reads changes.
 
 ``manifest.json`` holds one record per completed stage: its key and the
@@ -27,6 +29,7 @@ import json
 import os
 import shutil
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,48 +37,8 @@ import numpy as np
 
 from . import artifacts, cvpn, density, embedding, evalharness, invariant_training
 from . import ood_classifier, outlier_sampling
-from .config import CSV_SOURCE_FIELDS, KEY_TABLE, RunConfig, config_lines
+from .config import CSV_SOURCE_FIELDS, KEY_TABLE, RunConfig, config_lines, namespace_fields
 from .errors import ArtifactError, NcisError, ParseError, PipelineError
-
-STAGES = ("embed", "train-cvpn", "fit-density", "sample-outliers",
-          "train-classifier", "evaluate")
-
-STAGE_OUTPUTS = {
-    "embed": ("embeddings_train.csv", "embeddings_heldout.csv", "ood_test.csv"),
-    "train-cvpn": ("cvpn.txt", "loss_history.csv"),
-    "fit-density": ("bank.txt",),
-    "sample-outliers": ("outliers.csv",),
-    "train-classifier": ("classifier.txt",),
-    "evaluate": ("metrics.csv", "scores.csv"),
-}
-
-# the RunConfig fields each stage body reads; a field left out here would let
-# a changed value reuse stale outputs (tests/test_stage_keys.py checks this)
-STAGE_FIELDS = {
-    "embed": ("embed_source", "seed", "benchmark_n_per_class", "benchmark_noise",
-              "benchmark_margin", "benchmark_ood_count", "embed_iterations",
-              "embed_batch_size", "embed_learning_rate", "embed_timesteps",
-              "data_train_csv", "data_heldout_csv", "data_ood_csv"),
-    "train-cvpn": ("seed", "invariants_p", "invariants_k_override", "cvpn_num_blocks",
-                   "cvpn_hidden_width", "cvpn_train_lr", "cvpn_train_iterations",
-                   "cvpn_train_batch"),
-    "fit-density": ("density_lambda",),
-    "sample-outliers": ("seed", "sample_n_per_class", "sample_q", "sample_max_attempts"),
-    "train-classifier": ("seed", "classifier_beta", "classifier_epochs", "classifier_lr",
-                         "classifier_batch", "classifier_hidden_width",
-                         "classifier_phi_hidden"),
-    "evaluate": ("embed_source",),
-}
-
-# the upstream artifacts each stage body reads from the output directory
-STAGE_INPUTS = {
-    "embed": (),
-    "train-cvpn": ("embeddings_train.csv",),
-    "fit-density": ("cvpn.txt", "embeddings_train.csv"),
-    "sample-outliers": ("cvpn.txt", "bank.txt"),
-    "train-classifier": ("embeddings_train.csv", "outliers.csv"),
-    "evaluate": ("classifier.txt", "embeddings_heldout.csv", "ood_test.csv"),
-}
 
 MANIFEST_NAME = "manifest.json"
 
@@ -122,7 +85,7 @@ def _stage_input_digests(stage, cfg: RunConfig, out_dir):
     when copied into another output directory; external CSVs by their
     configured path.
     """
-    paths = {name: Path(out_dir) / name for name in STAGE_INPUTS[stage]}
+    paths = {name: Path(out_dir) / name for name in STAGES[stage].inputs}
     if stage == "embed" and cfg.embed_source == "csv":
         paths.update((getattr(cfg, f), Path(getattr(cfg, f))) for f in CSV_SOURCE_FIELDS)
     return {label: _file_digest(path) for label, path in paths.items()}
@@ -130,13 +93,15 @@ def _stage_input_digests(stage, cfg: RunConfig, out_dir):
 
 def stage_key(stage, cfg: RunConfig, input_digests):
     """sha256 over the stage's configuration lines and its input digests."""
-    lines = config_lines(cfg, STAGE_FIELDS[stage])
+    lines = config_lines(cfg, STAGES[stage].fields)
     lines += [f"input {label} {digest}" for label, digest in sorted(input_digests.items())]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# stage bodies
+# stage bodies: each reads its inputs from the run directory and writes its
+# outputs into ``dest``, a staging directory that ``run_pipeline`` empties
+# into the run directory once the body has returned
 # ---------------------------------------------------------------------------
 
 def _toy_denoiser_matrix(dim, seed):
@@ -278,16 +243,40 @@ def stage_evaluate(cfg: RunConfig, run_dir: Path, dest: Path):
     artifacts.save_scores_csv(rows, dest / "scores.csv")
 
 
-# Each body reads its inputs from the run directory and writes its outputs
-# into ``dest``, a staging directory that ``run_pipeline`` empties into the
-# run directory once the body has returned.
-_STAGE_BODIES = {
-    "embed": stage_embed,
-    "train-cvpn": stage_train_cvpn,
-    "fit-density": stage_fit_density,
-    "sample-outliers": stage_sample_outliers,
-    "train-classifier": stage_train_classifier,
-    "evaluate": stage_evaluate,
+# a stage: its body, the RunConfig fields the body reads, the artifacts it
+# reads from and writes to the output directory, and its help line
+Stage = namedtuple("Stage", "body fields inputs outputs help")
+
+
+def _stage(body, namespaces, inputs, outputs, help):
+    return Stage(body, namespace_fields(namespaces), inputs, outputs, help)
+
+
+# a field left out of a stage's namespaces would let a changed value reuse
+# stale outputs (tests/test_stage_keys.py checks this)
+STAGES = {
+    "embed": _stage(
+        stage_embed, ("seed", "benchmark", "embed", "data"), (),
+        ("embeddings_train.csv", "embeddings_heldout.csv", "ood_test.csv"),
+        "produce the labeled embedding CSVs (and the OOD test points)"),
+    "train-cvpn": _stage(
+        stage_train_cvpn, ("seed", "invariants", "cvpn"), ("embeddings_train.csv",),
+        ("cvpn.txt", "loss_history.csv"),
+        "select the invariant count and fit the volume-preserving network"),
+    "fit-density": _stage(
+        stage_fit_density, ("density",), ("cvpn.txt", "embeddings_train.csv"), ("bank.txt",),
+        "fit the class-conditional Gaussians in invariant space"),
+    "sample-outliers": _stage(
+        stage_sample_outliers, ("seed", "sample"), ("cvpn.txt", "bank.txt"), ("outliers.csv",),
+        "rejection-sample boundary outliers and map them back"),
+    "train-classifier": _stage(
+        stage_train_classifier, ("seed", "classifier"), ("embeddings_train.csv", "outliers.csv"),
+        ("classifier.txt",),
+        "train the energy-regularized classifier on ID data plus outliers"),
+    "evaluate": _stage(
+        stage_evaluate, ("embed.source",),
+        ("classifier.txt", "embeddings_heldout.csv", "ood_test.csv"), ("metrics.csv", "scores.csv"),
+        "score held-out ID and OOD points and write the metrics CSV"),
 }
 
 
@@ -301,10 +290,11 @@ def _run_stage(stage, cfg: RunConfig, out_dir: Path):
     staging = out_dir / f".{stage}.partial"
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir()
+    outputs = STAGES[stage].outputs
     try:
-        _STAGE_BODIES[stage](cfg, out_dir, staging)
-        digests = {name: _file_digest(staging / name) for name in STAGE_OUTPUTS[stage]}
-        for name in STAGE_OUTPUTS[stage]:
+        STAGES[stage].body(cfg, out_dir, staging)
+        digests = {name: _file_digest(staging / name) for name in outputs}
+        for name in outputs:
             os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -340,18 +330,19 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stages = list(STAGES) if stages is None else list(stages)
+    order = list(STAGES)
+    stages = order if stages is None else list(stages)
     for stage in stages:
-        if stage not in _STAGE_BODIES:
+        if stage not in STAGES:
             raise PipelineError(f"unknown stage '{stage}'")
 
     manifest = _load_manifest(out_dir)
     produced = {}
     for stage in stages:
-        for upstream in STAGES[:STAGES.index(stage)]:
+        for upstream in order[:order.index(stage)]:
             if upstream not in stages and upstream in manifest["stages"]:
                 _checked_key(upstream, cfg, out_dir, manifest)
-        outputs = [out_dir / name for name in STAGE_OUTPUTS[stage]]
+        outputs = [out_dir / name for name in STAGES[stage].outputs]
         inputs, key = _checked_key(stage, cfg, out_dir, manifest)
         if stage in manifest["stages"] and all(p.exists() for p in outputs):
             if log:
@@ -374,7 +365,7 @@ DEFAULT_SWEEP = (1e-6, 1e-5, 1e-4, 1e-3)
 
 # the stages before the first one that reads lambda, which a sweep runs once
 SWEEP_SHARED_STAGES = tuple(itertools.takewhile(
-    lambda stage: "density_lambda" not in STAGE_FIELDS[stage], STAGES))
+    lambda stage: "density_lambda" not in STAGES[stage].fields, STAGES))
 
 
 def _sweep_dir_names(lambdas):
@@ -382,7 +373,7 @@ def _sweep_dir_names(lambdas):
     value ``density.lambda`` would refuse, or for two values sharing a name."""
     if not lambdas:
         raise ParseError("the lambda sweep needs at least one value")
-    _, _, in_range, _ = KEY_TABLE["density.lambda"]
+    in_range, _ = KEY_TABLE["density.lambda"]
     names = {}
     for lam in lambdas:
         if not in_range(float(lam)):
@@ -404,7 +395,7 @@ def _copy_shared_stages(src: Path, dst: Path):
         return
     records = _load_manifest(src)["stages"]
     for stage in SWEEP_SHARED_STAGES:
-        for name in STAGE_OUTPUTS[stage]:
+        for name in STAGES[stage].outputs:
             shutil.copyfile(src / name, dst / name)
         manifest["stages"][stage] = records[stage]
     _store_manifest(dst, manifest)
@@ -515,8 +506,9 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     run_pipeline(cfgs[0], dirs[0], stages=SWEEP_SHARED_STAGES, log=log)
     for sub_dir in dirs[1:]:
         _copy_shared_stages(dirs[0], sub_dir)
-    branches = [(cfgs[0], dirs[0], STAGES[len(SWEEP_SHARED_STAGES):])]
-    branches += [(sub_cfg, sub_dir, STAGES) for sub_cfg, sub_dir in zip(cfgs[1:], dirs[1:])]
+    order = list(STAGES)
+    branches = [(cfgs[0], dirs[0], order[len(SWEEP_SHARED_STAGES):])]
+    branches += [(sub_cfg, sub_dir, order) for sub_cfg, sub_dir in zip(cfgs[1:], dirs[1:])]
 
     pool = _fork_pool(_sweep_workers(len(branches)))
     if pool is None:

@@ -3,7 +3,7 @@ import pytest
 
 from ncis import artifacts, cvpn, density, ood_classifier
 from ncis.data import LabeledEmbeddingSet
-from ncis.errors import ArtifactError
+from ncis.errors import ArtifactError, ContractError
 from ncis.outlier_sampling import OutlierSet
 
 
@@ -214,11 +214,14 @@ def test_bank_rejects_non_finite_lam(toy_run, tmp_path, value):
 
 
 def _saved_record(toy_run, tmp_path, kind):
-    """A written cvpn or classifier record and its loader."""
+    """A written cvpn, classifier or bank record and its loader."""
     path = tmp_path / f"{kind}.txt"
     if kind == "cvpn":
         artifacts.save_cvpn(toy_run.model, path)
         return path, artifacts.load_cvpn
+    if kind == "bank":
+        artifacts.save_bank(toy_run.bank, path)
+        return path, artifacts.load_bank
     artifacts.save_classifier(toy_run.clf_beta1, path)
     return path, artifacts.load_classifier
 
@@ -250,11 +253,27 @@ def test_table_csv_rejects_non_finite(tmp_path, table, value):
         load(path)
 
 
-@pytest.mark.parametrize("kind", ["cvpn", "classifier"])
+@pytest.mark.parametrize("kind", ["cvpn", "classifier", "bank"])
 def test_unexpected_parameter_array_rejected(toy_run, tmp_path, kind):
     path, load = _saved_record(toy_run, tmp_path, kind)
     text = path.read_text()
     assert text.endswith("\nend\n")
     path.write_text(text[:-len("end\n")] + "array bogus 1 2\n1.0 2.0\nend\n")
     with pytest.raises(ArtifactError, match="bogus"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind, line, bad, error", [
+    ("bank", "meta class_count 3", "meta class_count -1", ArtifactError),
+    ("bank", "meta dim 2", "meta dim 0", ArtifactError),
+    ("classifier", "meta hidden_width 64", "meta hidden_width -1", ContractError),
+    ("classifier", "meta phi_hidden 8", "meta phi_hidden 0", ContractError),
+    ("cvpn", "meta num_blocks 4", "meta num_blocks 0", ContractError),
+])
+def test_out_of_range_meta_field_rejected(toy_run, tmp_path, kind, line, bad, error):
+    path, load = _saved_record(toy_run, tmp_path, kind)
+    text = path.read_text()
+    assert f"\n{line}\n" in text
+    path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+    with pytest.raises(error):
         load(path)

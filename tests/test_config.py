@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
-from ncis.config import RunConfig, config_lines, parse_config
+from ncis import config
+from ncis.config import KEY_TABLE, RunConfig, config_lines, namespace_fields, parse_config
 from ncis.errors import ParseError
 
 
@@ -72,6 +75,29 @@ def test_env_alias_and_validation():
     assert cfg.density_lambda == 2e-5
     with pytest.raises(ParseError, match="NCIS_LAMBDA"):
         parse_config("", environ={"NCIS_LAMBDA": "-1"})
+
+
+def test_env_key_and_alias_for_one_key_are_refused():
+    # neither may silently win: the two name the same key
+    env = {"NCIS_DENSITY_LAMBDA": "1e-3", "NCIS_LAMBDA": "1e-4"}
+    with pytest.raises(ParseError, match="NCIS_DENSITY_LAMBDA.*NCIS_LAMBDA.*density.lambda"):
+        parse_config("", environ=env)
+    cfg = parse_config("", environ={"NCIS_DENSITY_LAMBDA": "1e-3", "NCIS_P": "3"})
+    assert (cfg.density_lambda, cfg.invariants_p) == (1e-3, 3.0)
+
+
+def test_every_key_is_the_run_config_field_of_its_name():
+    # a key's field is the key with its dot as an underscore
+    assert [key.replace(".", "_") for key in KEY_TABLE] == [f.name for f in fields(RunConfig)]
+    assert all(len(row) == 2 for row in KEY_TABLE.values())
+
+
+def test_namespace_fields_expand_whole_keys_and_namespaces(monkeypatch):
+    assert namespace_fields(("seed", "embed.source")) == ("seed", "embed_source")
+    assert namespace_fields(("invariants",)) == ("invariants_p", "invariants_k_override")
+    # a new key joins its namespace without a second edit
+    monkeypatch.setitem(config.KEY_TABLE, "invariants.extra", (lambda v: True, "any"))
+    assert namespace_fields(("invariants",))[-1] == "invariants_extra"
 
 
 def test_config_lines_track_values():

@@ -35,10 +35,3 @@ def test_min_class_size():
     with pytest.raises(ContractError, match="class 1"):
         require_min_class_size(data, 2)
 
-
-def test_subset():
-    data = LabeledEmbeddingSet(np.arange(8).reshape(4, 2).astype(float),
-                               np.array([0, 1, 0, 1]), 2)
-    sub = data.subset(data.labels == 1)
-    assert len(sub) == 2
-    assert np.array_equal(sub.embeddings, np.array([[2.0, 3.0], [6.0, 7.0]]))

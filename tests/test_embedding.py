@@ -5,6 +5,8 @@ from ncis import autodiff as ad
 from ncis import embedding as emb
 from ncis.config import RunConfig
 from ncis.errors import ContractError, NumericError
+from ncis.invariant_training import TrainConfig
+from ncis.ood_classifier import ClassifierConfig
 
 from conftest import rel_err
 
@@ -249,10 +251,19 @@ def test_denoiser_matrix_validation():
 
 
 def test_embed_config_defaults_are_the_run_config_defaults():
-    # a library caller's EmbedConfig() runs the loop the pipeline runs at defaults
+    # a library caller's EmbedConfig(), TrainConfig() and ClassifierConfig()
+    # run the loops the pipeline runs at defaults
     lib, run = emb.EmbedConfig(), RunConfig()
     assert (lib.iterations, lib.batch_size, lib.learning_rate, lib.seed) == (
         run.embed_iterations, run.embed_batch_size, run.embed_learning_rate, run.seed)
+    cvpn = TrainConfig()
+    assert (cvpn.learning_rate, cvpn.iterations, cvpn.batch_size, cvpn.seed) == (
+        run.cvpn_train_lr, run.cvpn_train_iterations, run.cvpn_train_batch, run.seed)
+    clf = ClassifierConfig()
+    assert (clf.epochs, clf.learning_rate, clf.batch_size, clf.beta, clf.seed,
+            clf.hidden_width, clf.phi_hidden) == (
+        run.classifier_epochs, run.classifier_lr, run.classifier_batch, run.classifier_beta,
+        run.seed, run.classifier_hidden_width, run.classifier_phi_hidden)
 
 
 def test_config_validation():

@@ -68,8 +68,8 @@ def test_standalone_stage_ignores_unrecorded_upstream(tmp_path):
     loose = tmp_path / "loose"
     pipeline.run_pipeline(tiny_cfg(), whole)
     loose.mkdir()
-    for stage in pipeline.STAGES[:-1]:
-        for name in pipeline.STAGE_OUTPUTS[stage]:
+    for stage in list(pipeline.STAGES.values())[:-1]:
+        for name in stage.outputs:
             shutil.copyfile(whole / name, loose / name)
     pipeline.run_pipeline(tiny_cfg("classifier.epochs = 41\n"), loose, stages=["evaluate"])
     assert (loose / "metrics.csv").read_bytes() == (whole / "metrics.csv").read_bytes()
@@ -240,6 +240,18 @@ def test_cli_malformed_csv_comment_fails_with_stage_tag(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and "embed" in err and "embeddings_train.csv" in err
+
+
+def test_cli_corrupt_bank_fails_with_stage_tag(tmp_path, capsys):
+    cfg_file = write_tiny_config(tmp_path)
+    out = tmp_path / "out"
+    pipeline.run_pipeline(tiny_cfg(), out, stages=["embed", "train-cvpn", "fit-density"])
+    bank = out / "bank.txt"
+    bank.write_text(bank.read_text().replace("\nmeta class_count 3\n", "\nmeta class_count -1\n"))
+    rc = cli.main(["sample-outliers", "--config", str(cfg_file), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: stage 'sample-outliers'" in err and "class_count" in err
 
 
 def test_cli_bad_lambdas(tmp_path, capsys):

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from ncis import invariant_training, pipeline
-from ncis.config import RunConfig, parse_config
+from ncis.config import RunConfig, config_lines, parse_config
 from ncis.errors import ArtifactError, ParseError, PipelineError, SamplingError
 
 TINY = """
@@ -70,7 +70,7 @@ def test_edited_external_csv_is_not_reused(tmp_path):
 def test_no_staging_files_left_behind(tmp_path):
     out = tmp_path / "run"
     pipeline.run_pipeline(tiny_cfg(), out)
-    names = sorted(name for stage in pipeline.STAGES for name in pipeline.STAGE_OUTPUTS[stage])
+    names = sorted(name for stage in pipeline.STAGES.values() for name in stage.outputs)
     assert artifact_names(out) == names
 
 
@@ -127,7 +127,7 @@ def test_sweep_refuses_lambda_out_of_range(tmp_path, lam):
 def one_at_a_time_lines(lambdas):
     """The log lines of running each value's pipeline in turn: the first in
     full, every further one skipping the shared stages."""
-    wrote = [f"[{s}] wrote {', '.join(pipeline.STAGE_OUTPUTS[s])}" for s in pipeline.STAGES]
+    wrote = [f"[{name}] wrote {', '.join(stage.outputs)}" for name, stage in pipeline.STAGES.items()]
     skipped = [f"[{s}] outputs up to date, skipping" for s in pipeline.SWEEP_SHARED_STAGES]
     return wrote + (len(lambdas) - 1) * (skipped + wrote[len(skipped):])
 
@@ -143,15 +143,15 @@ def tree_bytes(root):
 def test_sweep_forked_and_inline_branches_agree(tmp_path, monkeypatch):
     # two workers run the branches in forked processes, one runs them in
     # this process; both print the one-at-a-time lines and write the same bytes
-    fit = pipeline._STAGE_BODIES["fit-density"]
+    fit = pipeline.STAGES["fit-density"]
     pids = tmp_path / "pids"
     pids.mkdir()
 
     def fit_recording_pid(cfg, run_dir, dest):
         (pids / f"{run_dir.parent.name}-{run_dir.name}").write_text(str(os.getpid()))
-        fit(cfg, run_dir, dest)
+        fit.body(cfg, run_dir, dest)
 
-    monkeypatch.setitem(pipeline._STAGE_BODIES, "fit-density", fit_recording_pid)
+    monkeypatch.setitem(pipeline.STAGES, "fit-density", fit._replace(body=fit_recording_pid))
     rows = {}
     for workers in (1, 2):
         monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: workers)
@@ -209,7 +209,7 @@ def test_sweep_raises_first_failure_in_list_order_after_started_branches(tmp_pat
     # with two workers, 1e-6 waits in one while the other runs 1e-5 to the
     # end and then fails 1e-4; 1e-6 fails last in time but first in the list
     monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: 2)
-    sample = pipeline._STAGE_BODIES["sample-outliers"]
+    sample = pipeline.STAGES["sample-outliers"]
     later_failed = tmp_path / "later-failed"
 
     def sample_failing(cfg, run_dir, dest):
@@ -221,9 +221,9 @@ def test_sweep_raises_first_failure_in_list_order_after_started_branches(tmp_pat
             while not later_failed.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise SamplingError("no outliers at lambda 1e-06")
-        sample(cfg, run_dir, dest)
+        sample.body(cfg, run_dir, dest)
 
-    monkeypatch.setitem(pipeline._STAGE_BODIES, "sample-outliers", sample_failing)
+    monkeypatch.setitem(pipeline.STAGES, "sample-outliers", sample._replace(body=sample_failing))
     out = tmp_path / "sweep"
     messages = []
     with pytest.raises(PipelineError, match="^stage 'sample-outliers': no outliers at lambda 1e-06$"):
@@ -263,13 +263,13 @@ def test_stage_bodies_read_only_declared_fields_and_inputs(tmp_path):
             dest = tmp_path / f"{stage}-{i}-out"
             run_dir.mkdir()
             dest.mkdir()
-            for name in pipeline.STAGE_INPUTS[stage]:
+            for name in pipeline.STAGES[stage].inputs:
                 shutil.copyfile(full / name, run_dir / name)
             recorder = ReadRecorder(cfg)
-            pipeline._STAGE_BODIES[stage](recorder, run_dir, dest)
-            assert sorted(p.name for p in dest.iterdir()) == sorted(pipeline.STAGE_OUTPUTS[stage])
+            pipeline.STAGES[stage].body(recorder, run_dir, dest)
+            assert sorted(p.name for p in dest.iterdir()) == sorted(pipeline.STAGES[stage].outputs)
             read |= recorder.read
-        assert read == set(pipeline.STAGE_FIELDS[stage]), stage
+        assert read == set(pipeline.STAGES[stage].fields), stage
 
 
 def test_stage_key_tracks_declared_fields_and_inputs():
@@ -279,3 +279,31 @@ def test_stage_key_tracks_declared_fields_and_inputs():
     assert pipeline.stage_key("fit-density", replace(cfg, seed=8), digests) == key
     assert pipeline.stage_key("fit-density", replace(cfg, density_lambda=1e-4), digests) != key
     assert pipeline.stage_key("fit-density", cfg, {"cvpn.txt": "b" * 64}) != key
+
+
+# The configuration lines of each stage's key at the defaults.  A change here
+# changes the key of every run directory written before it, which then
+# refuses to be reused, so it must be deliberate.
+DEFAULT_KEY_LINES = {
+    "embed": ["benchmark.margin = 0.3", "benchmark.n_per_class = 200", "benchmark.noise = 0.05",
+              "benchmark.ood_count = 600", "data.heldout_csv = ''", "data.ood_csv = ''",
+              "data.train_csv = ''", "embed.batch_size = 64", "embed.iterations = 150",
+              "embed.learning_rate = 0.01", "embed.source = 'toy-benchmark'",
+              "embed.timesteps = 50", "seed = 7"],
+    "train-cvpn": ["cvpn.hidden_width = 32", "cvpn.num_blocks = 4", "cvpn.train_batch = 128",
+                   "cvpn.train_iterations = 5000", "cvpn.train_lr = 0.001",
+                   "invariants.k_override = 0", "invariants.p = 2.0", "seed = 7"],
+    "fit-density": ["density.lambda = 1e-05"],
+    "sample-outliers": ["sample.max_attempts = 0", "sample.n_per_class = 1000", "sample.q = 0.05",
+                        "seed = 7"],
+    "train-classifier": ["classifier.batch = 128", "classifier.beta = 1.0",
+                         "classifier.epochs = 800", "classifier.hidden_width = 64",
+                         "classifier.lr = 0.003", "classifier.phi_hidden = 8", "seed = 7"],
+    "evaluate": ["embed.source = 'toy-benchmark'"],
+}
+
+
+def test_default_key_lines_are_stable():
+    lines = {name: config_lines(RunConfig(), stage.fields)
+             for name, stage in pipeline.STAGES.items()}
+    assert lines == DEFAULT_KEY_LINES
