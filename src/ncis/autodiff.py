@@ -5,8 +5,8 @@ and matrices, and sample batches ``(B, n)``.  The row-wise operations
 (``pick``, ``embed_rows``, ``cayley_matvec``) take batches only; ``matvec``
 also takes the one embedding vector of the toy denoiser's ``predict``.
 Every operation accepts plain arrays as well as :class:`Node` instances:
-arrays in give arrays out with nothing recorded, which is how the cVPN's
-forward and inverse maps run, and nodes in give a tape.
+arrays in give arrays out with nothing recorded, and nodes in give a tape.
+The cVPN's forward and inverse maps are plain numpy and do not use them.
 
 The numeric primitives are addition, elementwise multiplication,
 matrix-vector products, tanh, log-sigmoid, log-sum-exp, sum-of-squares and a
@@ -323,8 +323,8 @@ def cayley_rotation(flat, dim, transpose=False):
     return np.linalg.solve(eye + s, eye - s)
 
 
-def cayley_adjoint(q, x, g, transpose=False):
-    """Adjoints of the rows ``x @ q.T``, for ``q = cayley_rotation(flat, dim, transpose)``.
+def cayley_adjoint(q, x, g):
+    """Adjoints of the rows ``x @ q.T``, for ``q = cayley_rotation(flat, dim)``.
 
     ``x`` and the output gradient ``g`` are ``(N, dim)`` batches.  Returns the
     gradients with respect to ``flat`` and to ``x``.  With A = I + S,
@@ -332,14 +332,12 @@ def cayley_adjoint(q, x, g, transpose=False):
     """
     inv_a = 0.5 * (q + np.eye(q.shape[0]))
     full = -2.0 * ((g @ inv_a).T @ (x @ inv_a.T))
-    if transpose:
-        full = -full
     iu = _triu_indices(q.shape[0])
     return full[iu] - full.T[iu], g @ q
 
 
-def cayley_matvec(flat, x, transpose=False):
-    """Apply the Cayley rotation of ``flat`` (or its transpose) to each row of ``x``.
+def cayley_matvec(flat, x):
+    """Apply the Cayley rotation of ``flat`` to each row of ``x``.
 
     The rotation matrix is an exact function of the skew parameters, so the
     adjoint with respect to ``flat`` is computed analytically
@@ -349,10 +347,10 @@ def cayley_matvec(flat, x, transpose=False):
     xv = value_of(x)
     if xv.ndim != 2:
         raise ContractError(f"cayley_matvec expects a (B, n) batch, got shape {xv.shape}")
-    q = cayley_rotation(flat, xv.shape[-1], transpose)
+    q = cayley_rotation(flat, xv.shape[-1])
     out = xv @ q.T
     return _record("cayley_matvec", out, (flat, x),
-                   lambda g: cayley_adjoint(q, xv, np.asarray(g, dtype=np.float64), transpose))
+                   lambda g: cayley_adjoint(q, xv, np.asarray(g, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Keys are dotted and namespaced per pipeline stage (``density.lambda``,
 ``classifier.beta``, ...); a few common hyperparameters also accept bare
 aliases (``lambda``, ``p``, ``beta``, ``q``).  ``#`` starts a comment.
-Unknown keys, type mismatches and out-of-range values are parse errors that
-name the offending line.  After the file, environment variables of the form
-``NCIS_<KEY>`` (dots replaced by underscores, upper-cased) override values;
-two variables that set the same key (``NCIS_LAMBDA`` and
-``NCIS_DENSITY_LAMBDA``) are a parse error.
+Unknown keys, type mismatches, out-of-range values and a key set twice
+(also through an alias) are parse errors that name the offending lines.
+After the file, ``NCIS_<KEY>`` environment variables (dots replaced by
+underscores, upper-cased) override values; two variables that set the
+same key (``NCIS_LAMBDA`` and ``NCIS_DENSITY_LAMBDA``) are a parse error.
 With ``embed.source = csv``, every ``data.*_csv`` path must then be set.
 """
 
@@ -187,16 +187,18 @@ def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
 def parse_config(text: str, environ=None) -> RunConfig:
     """Parse configuration text, fill defaults, apply environment overrides."""
     cfg = RunConfig()
+    set_on = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {raw_line.strip()!r}", lineno)
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if not key or not raw:
+        key, equals, raw = (part.strip() for part in line.partition("="))
+        if not (key and equals and raw):
             raise ParseError(f"expected 'key = value', got {raw_line.strip()!r}", lineno)
         canonical = _resolve_key(key, lineno)
+        if canonical in set_on:
+            raise ParseError(f"'{canonical}' is already set on line {set_on[canonical]}", lineno)
+        set_on[canonical] = lineno
         attr, value = _parse_value(canonical, raw, lineno)
         setattr(cfg, attr, value)
     cfg = apply_env_overrides(cfg, environ)

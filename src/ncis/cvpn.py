@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .mlp import tape_tanh_mlp
+from .mlp import tanh_mlp, tape_tanh_mlp
 
 
 def ceil_half(dim: int) -> int:
@@ -75,47 +75,41 @@ def build_cvpn(dim, num_invariants, num_blocks, class_count, hidden_width, seed)
     return CvpnModel(dim, num_invariants, class_count, num_blocks, hidden_width, seed, params)
 
 
-# ---------------------------------------------------------------------------
-# layer application (works on plain arrays and on tape nodes)
-# ---------------------------------------------------------------------------
-
 def translation_layers(P, block):
     """The ``(W, b)`` layers of one block's translation net, input to output."""
     base = f"block{block}.t_"
     return [(P[f"{base}w{j}"], P[f"{base}b{j}"]) for j in (1, 2, 3)]
 
 
-def coupling_shift(x, translation, split, sign=1.0):
+# ---------------------------------------------------------------------------
+# tape reference: the forward map in autodiff operations
+# ---------------------------------------------------------------------------
+
+def coupling_shift(x, translation, split):
     """Shift the first ``split`` coordinates by ``translation``; keep the rest."""
     head = ad.narrow(x, 0, split)
     rest = ad.narrow(x, split, ad.value_of(x).shape[-1])
-    shifted = ad.add(head, translation) if sign > 0 else ad.sub(head, translation)
-    return ad.concat(shifted, rest)
+    return ad.concat(ad.add(head, translation), rest)
 
 
-def _coupling(model, P, block, x, labels, sign):
+def _coupling(model, P, block, x, labels):
     d = ceil_half(model.dim)
     rest = ad.narrow(x, d, model.dim)
     rows = ad.embed_rows(P["class_embed"], labels)
     t = tape_tanh_mlp(translation_layers(P, block), ad.concat(rest, rows))
-    return coupling_shift(x, t, d, sign)
+    return coupling_shift(x, t, d)
 
 
-def apply_blocks(model, P, x, labels, inverse=False):
-    """Run all layers forward, or all inverses in reverse order."""
-    if not inverse:
-        for i in range(model.num_blocks):
-            x = ad.cayley_matvec(P[f"block{i}.orth_skew"], x)
-            x = _coupling(model, P, i, x, labels, sign=1.0)
-    else:
-        for i in reversed(range(model.num_blocks)):
-            x = _coupling(model, P, i, x, labels, sign=-1.0)
-            x = ad.cayley_matvec(P[f"block{i}.orth_skew"], x, transpose=True)
+def apply_blocks(model, P, x, labels):
+    """The forward map on tape nodes, the reference for its hand-written gradient."""
+    for i in range(model.num_blocks):
+        x = ad.cayley_matvec(P[f"block{i}.orth_skew"], x)
+        x = _coupling(model, P, i, x, labels)
     return x
 
 
 # ---------------------------------------------------------------------------
-# public batch interface
+# public batch interface: the plain forward and inverse maps
 # ---------------------------------------------------------------------------
 
 def _check_batch(model, xs, labels):
@@ -130,18 +124,33 @@ def _check_batch(model, xs, labels):
     return xs, labels
 
 
-def cvpn_forward_batch(model, xs, labels):
-    xs, labels = _check_batch(model, xs, labels)
-    if xs.shape[0] == 0:
-        return xs.copy()
-    return apply_blocks(model, model.params, xs, labels)
+def cvpn_forward_batch(model, xs, labels, saved=None):
+    """The forward map of each row under its class label.  If ``saved`` is a
+    list, each block appends ``(q, x_in, layers, inputs)`` for the backward pass."""
+    x, labels = _check_batch(model, xs, labels)
+    P, d = model.params, ceil_half(model.dim)
+    class_rows = P["class_embed"][labels]
+    for i in range(model.num_blocks):
+        q = ad.cayley_rotation(P[f"block{i}.orth_skew"], model.dim)
+        rotated = x @ q.T
+        layers = translation_layers(P, i)
+        t, inputs = tanh_mlp(layers, np.concatenate([rotated[:, d:], class_rows], axis=1))
+        if saved is not None:
+            saved.append((q, x, layers, inputs))
+        x = np.concatenate([rotated[:, :d] + t, rotated[:, d:]], axis=1)
+    return x
 
 
 def cvpn_inverse_batch(model, vs, labels):
-    vs, labels = _check_batch(model, vs, labels)
-    if vs.shape[0] == 0:
-        return vs.copy()
-    return apply_blocks(model, model.params, vs, labels, inverse=True)
+    """Undo :func:`cvpn_forward_batch`: per block in reverse, unshift, then apply Q^T."""
+    v, labels = _check_batch(model, vs, labels)
+    P, d = model.params, ceil_half(model.dim)
+    class_rows = P["class_embed"][labels]
+    for i in reversed(range(model.num_blocks)):
+        t, _ = tanh_mlp(translation_layers(P, i), np.concatenate([v[:, d:], class_rows], axis=1))
+        v = np.concatenate([v[:, :d] - t, v[:, d:]], axis=1)
+        v = v @ ad.cayley_rotation(P[f"block{i}.orth_skew"], model.dim, transpose=True).T
+    return v
 
 
 def invariants_batch(model, xs, labels):

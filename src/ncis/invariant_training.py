@@ -20,7 +20,7 @@ from . import cvpn
 from .config import RunConfig
 from .data import LabeledEmbeddingSet, require_min_class_size
 from .errors import ContractError, NumericError
-from .mlp import tanh_mlp, tanh_mlp_backward
+from .mlp import tanh_mlp_backward
 from .optim import adam_init, adam_update, flatten_params, views_like
 
 
@@ -85,32 +85,24 @@ def invariant_loss(model, embeddings, labels) -> float:
     return float(np.mean(np.sum(g * g, axis=1)))
 
 
-def invariant_loss_and_grad(model, P, x, labels, grads) -> float:
-    """Batch loss ``sum(out[:, :k] ** 2) / B`` of ``cvpn.apply_blocks`` and its gradient.
+def invariant_loss_and_grad(model, x, labels, grads) -> float:
+    """Batch loss ``sum(out[:, :k] ** 2) / B`` of ``cvpn.cvpn_forward_batch`` and its gradient.
 
-    A hand-written reverse pass over the layers, checked against the tape in
-    the test suite.  The gradient of each parameter ``P[name]`` is written
-    into ``grads[name]``, an array of the same shape.  Returns the loss.
+    A hand-written reverse pass over the blocks the forward call saved, checked
+    against the tape reference ``cvpn.apply_blocks`` in the test suite.  Each
+    gradient of ``model.params[name]`` is written into ``grads[name]``.
     """
+    saved = []
+    x = cvpn.cvpn_forward_batch(model, x, labels, saved)
     batch, dim = x.shape
     d = cvpn.ceil_half(dim)
-    class_rows = P["class_embed"][labels]
-    saved = []
-    for i in range(model.num_blocks):
-        q = ad.cayley_rotation(P[f"block{i}.orth_skew"], dim)
-        rotated = x @ q.T
-        layers = cvpn.translation_layers(P, i)
-        t, inputs = tanh_mlp(layers, np.concatenate([rotated[:, d:], class_rows], axis=1))
-        saved.append((q, x, layers, inputs))
-        x = np.concatenate([rotated[:, :d] + t, rotated[:, d:]], axis=1)
-
     scale = 1.0 / batch
     inv = x[:, :model.num_invariants]
     loss = float(np.sum(inv * inv) * scale)
 
     g = np.zeros_like(x)
     g[:, :model.num_invariants] = (2.0 * scale) * inv
-    g_rows = np.zeros_like(class_rows)
+    g_rows = np.zeros((batch, model.params["class_embed"].shape[1]))
     for i in range(model.num_blocks - 1, -1, -1):
         q, x_in, layers, inputs = saved[i]
         g_tin = tanh_mlp_backward(layers, inputs, g[:, :d], cvpn.translation_layers(grads, i))
@@ -150,8 +142,7 @@ def train_cvpn(model, data: LabeledEmbeddingSet, cfg: TrainConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.iterations):
             idx = rng.choice(n, size=bs, replace=False)
-            loss = invariant_loss_and_grad(model, model.params, data.embeddings[idx],
-                                           data.labels[idx], grads)
+            loss = invariant_loss_and_grad(model, data.embeddings[idx], data.labels[idx], grads)
             if not (math.isfinite(loss) and np.isfinite(grad).all()):
                 raise NumericError(f"training aborted at iteration {it}: non-finite loss or gradient")
             history[it, 0] = it

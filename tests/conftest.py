@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from ncis import cvpn, density, evalharness, invariant_training, ood_classifier, outlier_sampling
+from ncis.config import parse_config
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -75,3 +76,14 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64).ravel()
     denom = max(np.linalg.norm(b), 1e-12)
     return np.linalg.norm(a - b) / denom
+
+
+def config_with(base, extra=""):
+    """``parse_config`` of ``base`` with each ``key = value`` line of ``extra``
+    replacing the line of its key, since a file may set a key only once."""
+    lines = {}
+    for line in (base + extra).splitlines():
+        if line.strip():
+            key, _, value = line.partition("=")
+            lines[key.strip()] = value.strip()
+    return parse_config("\n".join(f"{k} = {v}" for k, v in lines.items()), environ={})

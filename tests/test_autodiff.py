@@ -82,9 +82,6 @@ def _primitive_cases(rng):
                        lambda P: ad.sumsq(ad.embed_rows(P["t"], np.array([0, 2, 2, 1])))),
         "cayley": ({"s": 0.7 * rng.standard_normal(6), "x": rng.standard_normal((3, 4))},
                    lambda P: ad.sumsq(ad.narrow(ad.cayley_matvec(P["s"], P["x"]), 0, 2))),
-        "cayley_transpose": ({"s": 0.7 * rng.standard_normal(6), "x": rng.standard_normal((3, 4))},
-                             lambda P: ad.sumsq(ad.narrow(
-                                 ad.cayley_matvec(P["s"], P["x"], transpose=True), 0, 2))),
     }
 
 

@@ -86,6 +86,16 @@ def test_env_key_and_alias_for_one_key_are_refused():
     assert (cfg.density_lambda, cfg.invariants_p) == (1e-3, 3.0)
 
 
+def test_key_set_twice_in_a_file_is_refused_with_both_lines():
+    # neither line may silently win, also when one of them uses an alias
+    with pytest.raises(ParseError, match=r"line 3: 'seed' .*line 1"):
+        parse_config("seed = 1\n\nseed = 2\n", environ={})
+    with pytest.raises(ParseError, match=r"line 2: 'density.lambda' .*line 1"):
+        parse_config("lambda = 1e-4\ndensity.lambda = 1e-3\n", environ={})
+    cfg = parse_config("seed = 1\n", environ={"NCIS_SEED": "2"})
+    assert cfg.seed == 2
+
+
 def test_every_key_is_the_run_config_field_of_its_name():
     # a key's field is the key with its dot as an underscore
     assert [key.replace(".", "_") for key in KEY_TABLE] == [f.name for f in fields(RunConfig)]

@@ -55,29 +55,43 @@ def test_translation_mlp_final_layer_zero_initialized():
 
 # coupling layer ------------------------------------------------------------
 
+def _one_block(model, block):
+    """A one-block model with ``block``'s translation net and no rotation."""
+    one = cvpn.build_cvpn(model.dim, model.num_invariants, 1, model.class_count,
+                          model.hidden_width, model.seed)
+    one.params["class_embed"] = model.params["class_embed"]
+    for j in (1, 2, 3):
+        for kind in ("w", "b"):
+            one.params[f"block0.t_{kind}{j}"] = model.params[f"block{block}.t_{kind}{j}"]
+    return one
+
+
 def test_coupling_identity_when_translation_zero():
     model = small_model(dim=4, k=1)
     x = np.array([[0.3, -1.0, 2.0, 0.5]])
     label = np.array([2])
-    assert np.array_equal(cvpn._coupling(model, model.params, 0, x, label, sign=1.0), x)
-    assert np.array_equal(cvpn._coupling(model, model.params, 0, x, label, sign=-1.0), x)
+    assert np.array_equal(cvpn._coupling(model, model.params, 0, x, label), x)
+    assert np.array_equal(cvpn.cvpn_inverse_batch(_one_block(model, 0), x, label), x)
 
 
 def test_coupling_shift_hand_example():
-    # d = 1, translation equal to the untouched coordinate: [1, 2] -> [3, 2]
+    # d = 1, translation 2: [1, 2] -> [3, 2], and the inverse shifts back
     out = cvpn.coupling_shift(np.array([1.0, 2.0]), np.array([2.0]), split=1)
     assert np.array_equal(out, np.array([3.0, 2.0]))
-    back = cvpn.coupling_shift(out, np.array([2.0]), split=1, sign=-1.0)
-    assert np.array_equal(back, np.array([1.0, 2.0]))
+    model = small_model(blocks=1)
+    model.params["block0.t_b3"] = np.array([2.0])   # the net's output is this constant
+    assert np.array_equal(cvpn.cvpn_forward_batch(model, [[1.0, 2.0]], [0]), [out])
+    assert np.array_equal(cvpn.cvpn_inverse_batch(model, [out], [0]), [[1.0, 2.0]])
 
 
 def test_coupling_round_trip_exact_on_trained_block(trained_model):
     rng = np.random.default_rng(0)
     xs = rng.uniform(-3, 3, (1000, trained_model.dim))
     labels = rng.integers(0, trained_model.class_count, 1000)
-    P = trained_model.params
-    y = cvpn._coupling(trained_model, P, 1, xs, labels, sign=1.0)
-    back = cvpn._coupling(trained_model, P, 1, y, labels, sign=-1.0)
+    y = cvpn._coupling(trained_model, trained_model.params, 1, xs, labels)
+    block = _one_block(trained_model, 1)
+    assert np.array_equal(cvpn.cvpn_forward_batch(block, xs, labels), y)
+    back = cvpn.cvpn_inverse_batch(block, y, labels)
     assert np.abs(back - xs).max() < 1e-12
 
 
@@ -111,7 +125,7 @@ def test_orthogonal_inverse_is_transpose():
     skew = np.array([0.37])
     x = np.array([[0.2, -0.8]])
     y = ad.cayley_matvec(skew, x)
-    back = ad.cayley_matvec(skew, y, transpose=True)
+    back = y @ ad.cayley_rotation(skew, 2, transpose=True).T
     assert np.abs(back - x).max() < 1e-14
 
 

@@ -3,8 +3,9 @@
 The two training loops and the embedding loop differentiate their losses by
 hand (``invariant_loss_and_grad``, ``classifier_loss_and_grad`` and the toy
 denoiser's ``loss_and_grad``); the tape, whose primitives criterion 3 checks
-against finite differences, is the reference they must match.  The flat Adam update must equal the per-array
-update it replaced, bit for bit.
+against finite differences, is the reference they must match.  The plain cVPN
+forward map must equal the tape's bit for bit, and its inverse must undo it.
+The flat Adam update must equal the per-array update it replaced, bit for bit.
 """
 
 import numpy as np
@@ -51,8 +52,21 @@ def test_cvpn_gradients_match_tape():
 
         tape_loss, tape_grads = ad.eval_and_grad(loss, model.params)
         grads = {name: np.full(np.shape(v), np.nan) for name, v in model.params.items()}
-        fused_loss = it.invariant_loss_and_grad(model, model.params, xs, labels, grads)
+        fused_loss = it.invariant_loss_and_grad(model, xs, labels, grads)
         _assert_parity(fused_loss, grads, tape_loss, tape_grads, i)
+
+        # the plain maps: the forward is the tape's bit for bit, the inverse undoes it
+        reference = ad.value_of(cvpn.apply_blocks(model, model.params, xs, labels))
+        saved = []
+        forward = cvpn.cvpn_forward_batch(model, xs, labels, saved)
+        assert np.array_equal(forward, reference), i
+        assert np.array_equal(cvpn.cvpn_forward_batch(model, xs, labels), reference), i
+        assert len(saved) == blocks
+        back = cvpn.cvpn_inverse_batch(model, forward, labels)
+        assert np.abs(back - xs).max() < 1e-12, i
+        empty = np.empty((0, dim))
+        assert cvpn.cvpn_forward_batch(model, empty, []).shape == (0, dim)
+        assert cvpn.cvpn_inverse_batch(model, empty, []).shape == (0, dim)
         seen.add((dim, k > 1, blocks))
     assert {d for d, _, _ in seen} == set(range(2, 9))
     assert {b for _, _, b in seen} == {1, 2, 3}

@@ -3,9 +3,11 @@ import shutil
 import numpy as np
 import pytest
 
-from ncis import artifacts, cli, pipeline
-from ncis.config import parse_config
+from ncis import artifacts, cli, cvpn, mlp, pipeline
+from ncis import autodiff as ad
 from ncis.errors import ArtifactError
+
+from conftest import config_with
 
 TINY = """
 seed = 5
@@ -19,7 +21,7 @@ classifier.epochs = 40
 
 
 def tiny_cfg(extra=""):
-    return parse_config(TINY + extra, environ={})
+    return config_with(TINY, extra)
 
 
 def test_run_all_produces_artifacts(tmp_path):
@@ -34,6 +36,20 @@ def test_run_all_produces_artifacts(tmp_path):
     dataset, method, fpr, auc, acc = rows[0]
     assert dataset == "toy" and method == "ncis"
     assert 0.0 <= fpr <= 1.0 and 0.0 <= auc <= 1.0 and 0.0 <= acc <= 1.0
+
+
+def test_pipeline_runs_without_the_tape(tmp_path, monkeypatch):
+    # the tape's cVPN and MLP operations are test references; no stage may reach them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pipeline stage reached a tape operation")
+
+    for module, attr in [(cvpn, "apply_blocks"), (cvpn, "_coupling"), (cvpn, "tape_tanh_mlp"),
+                         (mlp, "tape_tanh_mlp"), (ad, "cayley_matvec"), (ad, "narrow"),
+                         (ad, "concat"), (ad, "embed_rows")]:
+        monkeypatch.setattr(module, attr, refuse)
+    produced = pipeline.run_pipeline(tiny_cfg("cvpn.train_iterations = 20\n"
+                                              "classifier.epochs = 2\n"), tmp_path / "run")
+    assert set(produced) == set(pipeline.STAGES)
 
 
 def test_rerun_skips_and_keeps_bytes(tmp_path):

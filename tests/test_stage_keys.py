@@ -11,8 +11,10 @@ from dataclasses import replace
 import pytest
 
 from ncis import invariant_training, pipeline
-from ncis.config import RunConfig, config_lines, parse_config
+from ncis.config import RunConfig, config_lines
 from ncis.errors import ArtifactError, ParseError, PipelineError, SamplingError
+
+from conftest import config_with
 
 TINY = """
 seed = 5
@@ -26,7 +28,7 @@ classifier.epochs = 20
 
 
 def tiny_cfg(extra=""):
-    return parse_config(TINY + extra, environ={})
+    return config_with(TINY, extra)
 
 
 def csv_source(src):
