@@ -14,14 +14,14 @@ from .cvpn import (CvpnModel, build_cvpn, cvpn_forward_batch, cvpn_inverse_batch
 from .data import LabeledEmbeddingSet
 from .density import (ClassGaussianBank, fit_class_gaussians, log_density_e_batch,
                       log_density_v_batch)
-from .embedding import (Denoiser, EmbedConfig, LinearToyDenoiser, NoiseSchedule,
-                        embed_dataset, embed_sample, forward_noise)
+from .embedding import (Denoiser, LinearToyDenoiser, NoiseSchedule, embed_dataset, embed_sample,
+                        forward_noise)
 from .errors import (ArtifactError, ContractError, NcisError, NumericError,
                      ParseError, PipelineError, SamplingError)
 from .evalharness import ToyBenchmark, auroc, fpr_at_tpr, make_toy_benchmark
-from .invariant_training import TrainConfig, invariant_loss, select_num_invariants, train_cvpn
-from .ood_classifier import (ClassifierConfig, EnergyClassifier, build_energy_classifier,
-                             ood_scores, sample_energies, train_energy_classifier)
+from .invariant_training import invariant_loss, select_num_invariants, train_cvpn
+from .ood_classifier import (EnergyClassifier, build_energy_classifier, ood_scores,
+                             sample_energies, train_energy_classifier)
 from .outlier_sampling import OutlierSet, rejection_sample_invariant, synthesize_outliers
 from .pipeline import run_pipeline, sweep_lambda
 

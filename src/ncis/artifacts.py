@@ -341,14 +341,16 @@ def load_outliers_csv(path) -> OutlierSet:
         labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
         emb = np.array([[float(v) for v in r[1:1 + dim]] for r in rows], dtype=np.float64)
         lds = np.array([float(r[1 + dim]) for r in rows], dtype=np.float64)
-        lam = float(rows[0][2 + dim]) if rows else 0.0
-        q = float(rows[0][3 + dim]) if rows else 0.0
+        lam_q = [(float(r[2 + dim]), float(r[3 + dim])) for r in rows] or [(0.0, 0.0)]
     except (ValueError, IndexError) as err:
         raise ArtifactError(f"{path}: malformed outliers row") from err
     if emb.size == 0:
         emb = emb.reshape(0, dim)
-    if not (np.isfinite(emb).all() and np.isfinite(lds).all() and np.isfinite([lam, q]).all()):
+    if not (np.isfinite(emb).all() and np.isfinite(lds).all() and np.isfinite(lam_q).all()):
         raise ArtifactError(f"{path}: outliers contain non-finite values")
+    lam, q = lam_q[0]
+    if any(row != (lam, q) for row in lam_q):
+        raise ArtifactError(f"{path}: outliers rows disagree on lambda or q")
     return OutlierSet(emb, labels, lds, lam, q, seed, attempts)
 
 

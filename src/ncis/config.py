@@ -9,6 +9,12 @@ After the file, ``NCIS_<KEY>`` environment variables (dots replaced by
 underscores, upper-cased) override values; two variables that set the
 same key (``NCIS_LAMBDA`` and ``NCIS_DENSITY_LAMBDA``) are a parse error.
 With ``embed.source = csv``, every ``data.*_csv`` path must then be set.
+
+``RunConfig`` is the one configuration object: the pipeline stages and the
+library's training and embedding loops all read it.  Each field's default
+is declared on the class and its range once, in ``KEY_TABLE``; a
+``RunConfig`` built in code runs the same range checks at construction and
+raises ``ContractError`` naming the key.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ContractError, ParseError
 
 
 @dataclass
@@ -54,6 +60,12 @@ class RunConfig:
     classifier_hidden_width: int = 64
     classifier_phi_hidden: int = 8
 
+    def __post_init__(self):
+        for key, (check, desc) in KEY_TABLE.items():
+            value = getattr(self, _field(key))
+            if not check(value):
+                raise ContractError(f"{key} out of range (must be {desc}), got {value!r}")
+
 
 def _positive_int(v):
     return v >= 1
@@ -87,8 +99,10 @@ def _source_choice(v):
     return v in ("toy-benchmark", "toy-denoiser", "csv")
 
 
-# key -> (range check, range description).  A key's RunConfig field is the key
-# with its dot as an underscore, and its type is the type of that field's default.
+# key -> (range check, range description): the one declaration of each key's
+# range, run by the parser on every value it reads and by RunConfig on every
+# field at construction.  A key's RunConfig field is the key with its dot as an
+# underscore, and its type is the type of that field's default.
 KEY_TABLE = {
     "seed": (_non_negative_int, ">= 0"),
     "benchmark.n_per_class": (_positive_int, ">= 1"),

@@ -5,7 +5,9 @@ noise-prediction loss: draw timesteps and noise for a batch, noise the sample
 accordingly, and take one gradient step on the squared prediction error with
 respect to the embedding.  The embedding starts at the label's anchor vector
 and runs for a small fixed number of iterations, which keeps it close to the
-anchor; with zero iterations it is the anchor, bit for bit.
+anchor; with zero iterations it is the anchor, bit for bit.  The loop reads
+its seed and its ``embed.*`` budgets from the pipeline's ``RunConfig``, which
+checks their ranges when it is built.
 
 The denoiser is abstract so externally produced embeddings (or a real
 denoising model) can replace the analytic toy denoiser used for verification.
@@ -46,7 +48,7 @@ class NoiseSchedule:
         return self.alpha_bar.size
 
     @classmethod
-    def linear(cls, timesteps=50, beta_start=1e-4, beta_end=0.2):
+    def linear(cls, timesteps=RunConfig.embed_timesteps, beta_start=1e-4, beta_end=0.2):
         """Linear variance schedule; alpha_bar starts near 1 and ends small."""
         if timesteps < 1:
             raise ContractError("timesteps must be at least 1")
@@ -118,25 +120,8 @@ class LinearToyDenoiser(Denoiser):
         return np.linalg.solve(self.matrix, c * np.asarray(x0, dtype=np.float64))
 
 
-@dataclass
-class EmbedConfig:
-    # the pipeline's defaults, so a library caller runs the same loop
-    iterations: int = RunConfig.embed_iterations
-    batch_size: int = RunConfig.embed_batch_size
-    learning_rate: float = RunConfig.embed_learning_rate
-    seed: int = RunConfig.seed
-
-    def __post_init__(self):
-        if self.iterations < 0:
-            raise ContractError("iterations must be non-negative")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
-
-
 def embed_sample(sample, anchor, denoiser: Denoiser, schedule: NoiseSchedule,
-                 cfg: EmbedConfig):
+                 cfg: RunConfig):
     """Gradient-descend the embedding of one sample, starting at ``anchor``.
 
     The one-item case of :func:`embed_dataset`, seeded with ``cfg.seed``.
@@ -151,7 +136,7 @@ def derive_item_seed(seed, index) -> int:
 
 
 def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
-                  schedule: NoiseSchedule, cfg: EmbedConfig,
+                  schedule: NoiseSchedule, cfg: RunConfig,
                   item_seeds=None) -> LabeledEmbeddingSet:
     """Embed every (sample, label) pair independently, in input order.
 
@@ -159,7 +144,10 @@ def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
     items are independent of each other: by default its seed is derived from
     ``(cfg.seed, position)``, or the caller can pass explicit ``item_seeds``
     that travel with the items (for example when re-embedding a permuted
-    dataset).  All items then take each gradient step together, in one batch.
+    dataset).  All items then take each of the ``cfg.embed_iterations``
+    gradient steps together, in one batch; an item's step draws
+    ``cfg.embed_batch_size`` (timestep, noise) pairs and moves
+    ``cfg.embed_learning_rate`` times the gradient.
     """
     samples = np.asarray(samples, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -180,19 +168,19 @@ def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
     if item_seeds is None:
         item_seeds = [derive_item_seed(cfg.seed, i) for i in range(count)]
     rngs = [np.random.default_rng(int(seed)) for seed in item_seeds]
-    x0 = np.broadcast_to(samples[:, None, :], (count, cfg.batch_size, dx))
-    ts = np.empty((count, cfg.batch_size), dtype=np.int64)
+    x0 = np.broadcast_to(samples[:, None, :], (count, cfg.embed_batch_size, dx))
+    ts = np.empty((count, cfg.embed_batch_size), dtype=np.int64)
     eps = np.empty(x0.shape)
     e = anchors[labels]
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.iterations):
+        for it in range(cfg.embed_iterations):
             for i, rng in enumerate(rngs):
-                ts[i] = rng.integers(1, schedule.timesteps + 1, size=cfg.batch_size)
+                ts[i] = rng.integers(1, schedule.timesteps + 1, size=cfg.embed_batch_size)
                 rng.standard_normal(out=eps[i])
             loss, grad = denoiser.loss_and_grad(forward_noise(x0, ts, eps, schedule), eps, e)
             bad = ~(np.isfinite(loss) & np.isfinite(grad).all(axis=1))
             if bad.any():
                 raise NumericError(f"item {int(np.argmax(bad))}: embedding aborted at "
                                    f"iteration {it}: non-finite loss or gradient")
-            e = e - cfg.learning_rate * grad
+            e = e - cfg.embed_learning_rate * grad
     return LabeledEmbeddingSet(e, labels, class_count)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .data import LabeledEmbeddingSet
 from .errors import ContractError
 
@@ -125,8 +126,8 @@ def _sample_class(rng, arc, count, noise):
     return pts + noise * rng.standard_normal((count, 2))
 
 
-def make_toy_benchmark(seed, n_per_class, noise=0.05, margin=0.3,
-                       ood_count=None) -> ToyBenchmark:
+def make_toy_benchmark(seed, n_per_class, noise=RunConfig.benchmark_noise,
+                       margin=RunConfig.benchmark_margin, ood_count=None) -> ToyBenchmark:
     """Deterministic three-class 2-d benchmark with an off-manifold OOD set."""
     if n_per_class < 1:
         raise ContractError("n_per_class must be at least 1")

@@ -5,13 +5,15 @@ labeled embeddings.  The volume-preserving structure of the network rules out
 the degenerate solution of contracting everything to a constant, so no
 penalty term is needed; the layers keep their unimodular Jacobians at every
 step by construction.
+
+The loop reads its seed and its ``cvpn.train_*`` hyperparameters from the
+pipeline's ``RunConfig``, which checks their ranges when it is built.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,23 +24,6 @@ from .data import LabeledEmbeddingSet, require_min_class_size
 from .errors import ContractError, NumericError
 from .mlp import tanh_mlp_backward
 from .optim import adam_init, adam_update, flatten_params, views_like
-
-
-@dataclass
-class TrainConfig:
-    # the pipeline's defaults, so a library caller runs the same loop
-    learning_rate: float = RunConfig.cvpn_train_lr
-    iterations: int = RunConfig.cvpn_train_iterations
-    batch_size: int = RunConfig.cvpn_train_batch
-    seed: int = RunConfig.seed
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ContractError("iterations must be positive")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
 
 
 def select_num_invariants(data: LabeledEmbeddingSet, variance_percent: float) -> int:
@@ -115,10 +100,12 @@ def invariant_loss_and_grad(model, x, labels, grads) -> float:
     return loss
 
 
-def train_cvpn(model, data: LabeledEmbeddingSet, cfg: TrainConfig):
+def train_cvpn(model, data: LabeledEmbeddingSet, cfg: RunConfig):
     """Minimize the invariant loss in place; returns (model, loss history).
 
-    The history is an ``(iterations, 2)`` array of (iteration, batch loss
+    Runs ``cfg.cvpn_train_iterations`` Adam steps at ``cfg.cvpn_train_lr`` on
+    mini-batches of ``cfg.cvpn_train_batch`` drawn with ``cfg.seed``.  The
+    history is an ``(iterations, 2)`` array of (iteration, batch loss
     before the update).  Identical seeds give identical histories.  The
     model's parameters end up as views of one flat buffer (see ``optim``).
     """
@@ -135,17 +122,17 @@ def train_cvpn(model, data: LabeledEmbeddingSet, cfg: TrainConfig):
     grads = views_like(grad, model.params)
     state = adam_init(flat)
     n = len(data)
-    bs = min(cfg.batch_size, n)
-    history = np.empty((cfg.iterations, 2))
+    bs = min(cfg.cvpn_train_batch, n)
+    history = np.empty((cfg.cvpn_train_iterations, 2))
 
     # the finite check below reports a non-finite step with its position
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.iterations):
+        for it in range(cfg.cvpn_train_iterations):
             idx = rng.choice(n, size=bs, replace=False)
             loss = invariant_loss_and_grad(model, data.embeddings[idx], data.labels[idx], grads)
             if not (math.isfinite(loss) and np.isfinite(grad).all()):
                 raise NumericError(f"training aborted at iteration {it}: non-finite loss or gradient")
             history[it, 0] = it
             history[it, 1] = loss
-            adam_update(flat, grad, state, cfg.learning_rate)
+            adam_update(flat, grad, state, cfg.cvpn_train_lr)
     return model, history

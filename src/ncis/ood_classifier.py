@@ -6,6 +6,9 @@ energy to an ID-vs-OOD logit; that composed value is the OOD score (larger
 means more in-distribution).  Training combines softmax cross-entropy on
 labeled ID embeddings with a regularization term that pushes the score up on
 ID batches and down on synthesized outlier batches.
+
+Training reads its seed and its ``classifier.*`` hyperparameters from the
+pipeline's ``RunConfig``, which checks their ranges when it is built.
 """
 
 from __future__ import annotations
@@ -24,30 +27,6 @@ from .optim import adam_init, adam_update, flatten_params, views_like
 
 
 @dataclass
-class ClassifierConfig:
-    # the pipeline's defaults, so a library caller trains the same classifier
-    epochs: int = RunConfig.classifier_epochs
-    learning_rate: float = RunConfig.classifier_lr
-    batch_size: int = RunConfig.classifier_batch
-    beta: float = RunConfig.classifier_beta
-    seed: int = RunConfig.seed
-    hidden_width: int = RunConfig.classifier_hidden_width
-    phi_hidden: int = RunConfig.classifier_phi_hidden
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ContractError("epochs must be positive")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be positive")
-        if self.beta < 0:
-            raise ContractError("beta must be non-negative")
-        if self.hidden_width < 1 or self.phi_hidden < 1:
-            raise ContractError("widths must be positive")
-
-
-@dataclass
 class EnergyClassifier:
     dim: int
     class_count: int
@@ -58,8 +37,9 @@ class EnergyClassifier:
     params: dict
 
 
-def build_energy_classifier(dim, class_count, hidden_width=64, phi_hidden=8,
-                            beta=1.0, seed=0) -> EnergyClassifier:
+def build_energy_classifier(dim, class_count, hidden_width=RunConfig.classifier_hidden_width,
+                            phi_hidden=RunConfig.classifier_phi_hidden,
+                            beta=RunConfig.classifier_beta, seed=0) -> EnergyClassifier:
     """Fresh classifier; the scoring head's output layer starts at zero, so the
     score is identically zero before training."""
     if dim < 1 or class_count < 1:
@@ -205,10 +185,13 @@ def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads):
 
 
 def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
-                            cfg: ClassifierConfig) -> EnergyClassifier:
+                            cfg: RunConfig) -> EnergyClassifier:
     """Jointly fit the classifier and scoring head by mini-batch updates.
 
-    Every step pairs an ID mini-batch with an equally sized outlier
+    Runs ``cfg.classifier_epochs`` epochs of Adam at ``cfg.classifier_lr`` on
+    mini-batches of ``cfg.classifier_batch``, shuffled with ``cfg.seed``,
+    with the model's shape and ``beta`` from the other ``classifier_*``
+    fields.  Every step pairs an ID mini-batch with an equally sized outlier
     mini-batch.  With ``beta == 0`` the regularization term is dropped
     entirely, so the scoring head keeps its initialization.  The returned
     classifier's parameters are views of one flat buffer (see ``optim``).
@@ -221,9 +204,9 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
         raise ContractError("outlier dimension does not match the ID data")
 
     clf = build_energy_classifier(id_data.dim, id_data.class_count,
-                                  hidden_width=cfg.hidden_width,
-                                  phi_hidden=cfg.phi_hidden,
-                                  beta=cfg.beta, seed=cfg.seed)
+                                  hidden_width=cfg.classifier_hidden_width,
+                                  phi_hidden=cfg.classifier_phi_hidden,
+                                  beta=cfg.classifier_beta, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     flat = flatten_params(clf.params)
     grad = np.zeros_like(flat)
@@ -231,12 +214,12 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
     state = adam_init(flat)
     n_id = len(id_data)
     n_ood = ood_x.shape[0]
-    bs = min(cfg.batch_size, n_id)
+    bs = min(cfg.classifier_batch, n_id)
     steps = math.ceil(n_id / bs)
 
     # the finite check below reports a non-finite step with its position
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
+        for epoch in range(cfg.classifier_epochs):
             order_id = rng.permutation(n_id)
             need = steps * bs
             tiles = [rng.permutation(n_ood) for _ in range(math.ceil(need / n_ood))]
@@ -245,9 +228,9 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
                 bi = order_id[step * bs:(step + 1) * bs]
                 bo = order_ood[step * bs:step * bs + bi.size]
                 ce, separation = classifier_loss_and_grad(
-                    clf.params, id_data.embeddings[bi], id_data.labels[bi], ood_x[bo], cfg.beta, grads)
-                loss = ce + cfg.beta * separation
+                    clf.params, id_data.embeddings[bi], id_data.labels[bi], ood_x[bo], clf.beta, grads)
+                loss = ce + clf.beta * separation
                 if not (math.isfinite(loss) and np.isfinite(grad).all()):
                     raise NumericError(f"training aborted at epoch {epoch}: non-finite loss or gradient")
-                adam_update(flat, grad, state, cfg.learning_rate)
+                adam_update(flat, grad, state, cfg.classifier_lr)
     return clf

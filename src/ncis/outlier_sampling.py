@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cvpn
+from .config import RunConfig
 from .density import log_density_v_batch
 from .errors import ContractError, SamplingError
 
@@ -110,7 +111,8 @@ def default_max_attempts(n_per_class, q) -> int:
     return int(math.ceil(10.0 * n_per_class / q))
 
 
-def synthesize_outliers(model, bank, n_per_class, q=0.05, max_attempts=None, seed=0) -> OutlierSet:
+def synthesize_outliers(model, bank, n_per_class, q=RunConfig.sample_q, max_attempts=None,
+                        seed=0) -> OutlierSet:
     """Exactly ``n_per_class`` accepted outliers for every class.
 
     Each class consumes its own generator seeded with ``seed ^ label``, so

@@ -117,17 +117,14 @@ def _embed_with_toy_denoiser(cfg: RunConfig, bench):
     anchors = np.stack([
         np.linalg.solve(denoiser.matrix, scale * bench.train.class_points(c).mean(axis=0))
         for c in range(bench.train.class_count)])
-    embed_cfg = embedding.EmbedConfig(
-        iterations=cfg.embed_iterations, batch_size=cfg.embed_batch_size,
-        learning_rate=cfg.embed_learning_rate, seed=cfg.seed)
     train = embedding.embed_dataset(bench.train.embeddings, bench.train.labels,
-                                    anchors, denoiser, schedule, embed_cfg)
+                                    anchors, denoiser, schedule, cfg)
     heldout = embedding.embed_dataset(bench.heldout.embeddings, bench.heldout.labels,
-                                      anchors, denoiser, schedule, embed_cfg)
+                                      anchors, denoiser, schedule, cfg)
     # test-time points carry no label; start them at the mean anchor
     ood_seeds = [embedding.derive_item_seed(cfg.seed, 1_000_000 + i) for i in range(len(bench.ood))]
     ood = embedding.embed_dataset(bench.ood, np.zeros(len(bench.ood), dtype=np.int64),
-                                  anchors.mean(axis=0)[None], denoiser, schedule, embed_cfg,
+                                  anchors.mean(axis=0)[None], denoiser, schedule, cfg,
                                   item_seeds=ood_seeds)
     return train, heldout, ood.embeddings
 
@@ -153,19 +150,13 @@ def stage_embed(cfg: RunConfig, run_dir: Path, dest: Path):
 
 def stage_train_cvpn(cfg: RunConfig, run_dir: Path, dest: Path):
     train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
-    train_cfg = invariant_training.TrainConfig(
-        learning_rate=cfg.cvpn_train_lr,
-        iterations=cfg.cvpn_train_iterations,
-        batch_size=cfg.cvpn_train_batch,
-        seed=cfg.seed,
-    )
     if cfg.invariants_k_override > 0:
         k = cfg.invariants_k_override
     else:
         k = invariant_training.select_num_invariants(train, cfg.invariants_p)
     model = cvpn.build_cvpn(train.dim, k, cfg.cvpn_num_blocks, train.class_count,
                             cfg.cvpn_hidden_width, cfg.seed)
-    model, history = invariant_training.train_cvpn(model, train, train_cfg)
+    model, history = invariant_training.train_cvpn(model, train, cfg)
     artifacts.save_cvpn(model, dest / "cvpn.txt")
     artifacts.save_loss_history_csv(history, dest / "loss_history.csv")
 
@@ -192,16 +183,7 @@ def stage_sample_outliers(cfg: RunConfig, run_dir: Path, dest: Path):
 def stage_train_classifier(cfg: RunConfig, run_dir: Path, dest: Path):
     train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
     outliers = artifacts.load_outliers_csv(run_dir / "outliers.csv")
-    clf_cfg = ood_classifier.ClassifierConfig(
-        epochs=cfg.classifier_epochs,
-        learning_rate=cfg.classifier_lr,
-        batch_size=cfg.classifier_batch,
-        beta=cfg.classifier_beta,
-        seed=cfg.seed,
-        hidden_width=cfg.classifier_hidden_width,
-        phi_hidden=cfg.classifier_phi_hidden,
-    )
-    clf = ood_classifier.train_energy_classifier(train, outliers, clf_cfg)
+    clf = ood_classifier.train_energy_classifier(train, outliers, cfg)
     artifacts.save_classifier(clf, dest / "classifier.txt")
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from ncis import cvpn, density, evalharness, invariant_training, ood_classifier, outlier_sampling
-from ncis.config import parse_config
+from ncis.config import RunConfig, parse_config
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -41,15 +41,15 @@ def full_toy_run(seed: int) -> ToyRun:
     untrained = invariant_training.invariant_loss(
         model, bench.heldout.embeddings, bench.heldout.labels)
     model, history = invariant_training.train_cvpn(
-        model, bench.train, invariant_training.TrainConfig(seed=seed))
+        model, bench.train, RunConfig(seed=seed))
     vectors = cvpn.cvpn_forward_batch(model, bench.train.embeddings, bench.train.labels)
     bank = density.fit_class_gaussians(vectors, bench.train.labels, 1e-5,
                                        class_count=bench.train.class_count)
     outliers = outlier_sampling.synthesize_outliers(model, bank, 1000, q=0.05, seed=seed)
     clf1 = ood_classifier.train_energy_classifier(
-        bench.train, outliers, ood_classifier.ClassifierConfig(beta=1.0, seed=seed))
+        bench.train, outliers, RunConfig(classifier_beta=1.0, seed=seed))
     clf0 = ood_classifier.train_energy_classifier(
-        bench.train, outliers, ood_classifier.ClassifierConfig(beta=0.0, seed=seed))
+        bench.train, outliers, RunConfig(classifier_beta=0.0, seed=seed))
     run = ToyRun(seed, bench, k, model, history, untrained, bank, vectors,
                  outliers, clf1, clf0)
     _RUNS[seed] = run

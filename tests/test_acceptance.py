@@ -16,7 +16,7 @@ from ncis import invariant_training as it
 from ncis import ood_classifier as oc
 from ncis import outlier_sampling as osmp
 from ncis import pipeline
-from ncis.config import parse_config
+from ncis.config import RunConfig, parse_config
 from ncis.data import LabeledEmbeddingSet
 
 from conftest import full_toy_run, rel_err
@@ -50,8 +50,8 @@ def _trained_model(dim):
     if dim not in _MODELS:
         data = _synthetic_set(dim, seed=dim)
         model = cvpn.build_cvpn(dim, max(1, dim // 2), 2, 3, 16, seed=dim)
-        model, _ = it.train_cvpn(model, data,
-                                 it.TrainConfig(iterations=200, batch_size=64, seed=dim))
+        model, _ = it.train_cvpn(model, data, RunConfig(cvpn_train_iterations=200,
+                                                        cvpn_train_batch=64, seed=dim))
         _MODELS[dim] = model
     return _MODELS[dim]
 
@@ -289,13 +289,13 @@ def test_criterion_09_embedding_loop():
     den = emb.LinearToyDenoiser(np.eye(2) + 0.3 * rng.standard_normal((2, 2)))
     x0 = np.array([1.5, -0.7])
     target = den.closed_form_embedding(x0, schedule)
-    cfg = emb.EmbedConfig(iterations=200, batch_size=256, learning_rate=0.02, seed=11)
+    cfg = RunConfig(embed_iterations=200, embed_batch_size=256, embed_learning_rate=0.02, seed=11)
     e = emb.embed_sample(x0, np.zeros(2), den, schedule, cfg)
     rel = float(np.linalg.norm(e - target) / np.linalg.norm(target))
     assert rel < 0.05
     anchor = np.array([0.123456789, -9.87654321])
     out = emb.embed_sample(x0, anchor, den, schedule,
-                           emb.EmbedConfig(iterations=0, seed=4))
+                           RunConfig(embed_iterations=0, seed=4))
     assert np.array_equal(out, anchor)
     _report(9, "embedding loop", f"relative distance to minimizer {rel:.4f}", started)
 

@@ -202,6 +202,20 @@ def test_outliers_csv_rejects_non_finite(tmp_path, field, written, value):
         artifacts.load_outliers_csv(path)
 
 
+@pytest.mark.parametrize("column,value", [("lambda", "abc"), ("q", "0.9")])
+def test_outliers_csv_rejects_a_later_row_disagreeing_on_lambda_or_q(tmp_path, column, value):
+    path = tmp_path / "outliers.csv"
+    artifacts.save_outliers_csv(OutlierSet(np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([0, 1]),
+                                           np.array([-3.5, -4.75]), 1e-5, 0.05, 7,
+                                           np.array([10, 12])), path)
+    head, last = path.read_text().rstrip("\n").rsplit("\n", 1)
+    cells = last.split(",")
+    cells[-2 if column == "lambda" else -1] = value
+    path.write_text(f"{head}\n{','.join(cells)}\n")
+    with pytest.raises(ArtifactError, match="outliers.csv"):
+        artifacts.load_outliers_csv(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_bank_rejects_non_finite_lam(toy_run, tmp_path, value):
     path = tmp_path / "bank.txt"

@@ -1,10 +1,11 @@
+import re
 from dataclasses import fields
 
 import pytest
 
 from ncis import config
 from ncis.config import KEY_TABLE, RunConfig, config_lines, namespace_fields, parse_config
-from ncis.errors import ParseError
+from ncis.errors import ContractError, ParseError
 
 
 def test_empty_text_gives_defaults():
@@ -100,6 +101,21 @@ def test_every_key_is_the_run_config_field_of_its_name():
     # a key's field is the key with its dot as an underscore
     assert [key.replace(".", "_") for key in KEY_TABLE] == [f.name for f in fields(RunConfig)]
     assert all(len(row) == 2 for row in KEY_TABLE.values())
+
+
+@pytest.mark.parametrize("key", [key for key in KEY_TABLE if not key.startswith("data.")])
+def test_run_config_built_in_code_runs_the_key_table_check(key):
+    # the data.* paths accept any string; every other key has values out of range
+    check, desc = KEY_TABLE[key]
+    field = key.replace(".", "_")
+    kind = type(getattr(RunConfig, field))
+    if kind is str:
+        bad = "no-such-source"
+    else:
+        bad = next(kind(v) for v in (0, -1, 100) if not check(kind(v)))
+    with pytest.raises(ContractError,
+                       match=re.escape(f"{key} out of range (must be {desc}), got {bad!r}")):
+        RunConfig(**{field: bad})
 
 
 def test_namespace_fields_expand_whole_keys_and_namespaces(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ncis import cvpn, invariant_training as it
+from ncis.config import RunConfig
 from ncis.data import LabeledEmbeddingSet
 from ncis.errors import ContractError, NumericError
 
@@ -97,14 +98,14 @@ def test_training_noop_when_already_invariant():
     emb = np.concatenate([np.zeros((40, 2)), rest], axis=1)
     data = LabeledEmbeddingSet(emb, rng.integers(0, 2, 40), 2)
     before = {k: v.copy() for k, v in model.params.items()}
-    model, history = it.train_cvpn(model, data, it.TrainConfig(iterations=50, seed=5))
+    model, history = it.train_cvpn(model, data, RunConfig(cvpn_train_iterations=50, seed=5))
     assert history[:, 1].max() == 0.0
     for name in before:
         assert np.array_equal(model.params[name], before[name])
 
 
 def test_training_deterministic_history(toy_bench):
-    cfg = it.TrainConfig(iterations=60, batch_size=32, seed=13)
+    cfg = RunConfig(cvpn_train_iterations=60, cvpn_train_batch=32, seed=13)
     m1 = cvpn.build_cvpn(2, 1, 2, 3, 8, 13)
     m2 = cvpn.build_cvpn(2, 1, 2, 3, 8, 13)
     _, h1 = it.train_cvpn(m1, toy_bench.train, cfg)
@@ -134,11 +135,12 @@ def test_training_aborts_on_nonfinite_with_iteration():
     rng = np.random.default_rng(0)
     data = LabeledEmbeddingSet(rng.standard_normal((20, 2)), rng.integers(0, 2, 20), 2)
     with pytest.raises(NumericError, match="iteration 0"):
-        it.train_cvpn(model, data, it.TrainConfig(iterations=5, seed=0))
+        it.train_cvpn(model, data, RunConfig(cvpn_train_iterations=5, seed=0))
 
 
 def test_config_validation():
-    with pytest.raises(ContractError):
-        it.TrainConfig(iterations=0)
-    with pytest.raises(ContractError):
-        it.TrainConfig(learning_rate=0.0)
+    with pytest.raises(ContractError,
+                       match=r"cvpn.train_iterations out of range \(must be >= 1\), got 0"):
+        RunConfig(cvpn_train_iterations=0)
+    with pytest.raises(ContractError, match="cvpn.train_lr out of range"):
+        RunConfig(cvpn_train_lr=0.0)

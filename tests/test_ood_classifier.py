@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncis import ood_classifier as oc
+from ncis.config import RunConfig
 from ncis.data import LabeledEmbeddingSet
 from ncis.errors import ContractError, NumericError
 
@@ -185,7 +186,7 @@ def test_beta_zero_leaves_scoring_head_untouched(toy_bench, toy_run):
 def test_training_requires_outliers(toy_bench):
     with pytest.raises(ContractError):
         oc.train_energy_classifier(toy_bench.train, np.empty((0, 2)),
-                                   oc.ClassifierConfig(epochs=1, seed=0))
+                                   RunConfig(classifier_epochs=1, seed=0))
 
 
 def test_training_aborts_on_nonfinite_with_epoch():
@@ -194,11 +195,11 @@ def test_training_aborts_on_nonfinite_with_epoch():
     outliers = rng.standard_normal((10, 2))
     outliers[3] = np.nan
     with pytest.raises(NumericError, match="epoch 0"):
-        oc.train_energy_classifier(data, outliers, oc.ClassifierConfig(epochs=2, seed=0))
+        oc.train_energy_classifier(data, outliers, RunConfig(classifier_epochs=2, seed=0))
 
 
 def test_training_deterministic(toy_bench, toy_run):
-    cfg = oc.ClassifierConfig(epochs=3, seed=11)
+    cfg = RunConfig(classifier_epochs=3, seed=11)
     a = oc.train_energy_classifier(toy_bench.train, toy_run.outliers, cfg)
     b = oc.train_energy_classifier(toy_bench.train, toy_run.outliers, cfg)
     for name in a.params:
@@ -211,7 +212,7 @@ def test_heldout_accuracy(toy_run):
 
 
 def test_config_validation():
-    with pytest.raises(ContractError):
-        oc.ClassifierConfig(beta=-0.5)
-    with pytest.raises(ContractError):
-        oc.ClassifierConfig(epochs=0)
+    with pytest.raises(ContractError, match="classifier.beta out of range"):
+        RunConfig(classifier_beta=-0.5)
+    with pytest.raises(ContractError, match="classifier.epochs out of range"):
+        RunConfig(classifier_epochs=0)
