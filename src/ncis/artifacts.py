@@ -76,6 +76,8 @@ def read_record(path, kind):
             parts = line.split(maxsplit=2)
             if len(parts) != 3:
                 raise ArtifactError(f"{path}: malformed meta line {i + 1}")
+            if parts[1] in meta:
+                raise ArtifactError(f"{path}: meta '{parts[1]}' is given twice")
             meta[parts[1]] = parts[2]
             i += 1
             continue
@@ -84,6 +86,8 @@ def read_record(path, kind):
             if len(parts) < 3:
                 raise ArtifactError(f"{path}: malformed array header at line {i + 1}")
             name = parts[1]
+            if name in arrays:
+                raise ArtifactError(f"{path}: array '{name}' is given twice")
             try:
                 ndim = int(parts[2])
                 shape = tuple(int(s) for s in parts[3:])
@@ -129,9 +133,15 @@ def _field(path, fields, key, cast=int):
         raise ArtifactError(f"{path}: field '{key}' is malformed: {fields[key]!r}") from err
 
 
-def _comment_fields(comments):
-    # "key value" comment lines; a stripped line with a space has both parts
-    return dict(c.split(maxsplit=1) for c in comments if " " in c)
+def _comment_fields(path, comments):
+    """{key: value} of a CSV's "key value" comment lines; a stripped line with
+    a space has both parts.  A key on two lines raises ArtifactError."""
+    fields = {}
+    for key, value in (c.split(maxsplit=1) for c in comments if " " in c):
+        if key in fields:
+            raise ArtifactError(f"{path}: field '{key}' is given twice")
+        fields[key] = value
+    return fields
 
 
 def _checked_params(path, params, arrays):
@@ -263,7 +273,17 @@ def _read_csv(path, tag):
         raise ArtifactError(f"{path}: missing CSV header row")
     header = lines[i].split(",")
     rows = [line.split(",") for line in lines[i + 1:] if line]
+    if any(len(row) != len(header) for row in rows):
+        raise ArtifactError(f"{path}: row width does not match header")
     return comments, header, rows
+
+
+def _coordinate_count(path, header, lead, kind):
+    """D of a ``lead,e0,...,e{D-1}`` header; ArtifactError unless D >= 1."""
+    dim = len(header) - len(lead)
+    if dim < 1 or header != lead + [f"e{j}" for j in range(dim)]:
+        raise ArtifactError(f"{path}: malformed {kind} header")
+    return dim
 
 
 def save_embeddings_csv(data: LabeledEmbeddingSet, path):
@@ -275,19 +295,14 @@ def save_embeddings_csv(data: LabeledEmbeddingSet, path):
 
 def load_embeddings_csv(path) -> LabeledEmbeddingSet:
     comments, header, rows = _read_csv(path, "embeddings")
-    class_count = _field(path, _comment_fields(comments), "class_count")
-    dim = len(header) - 2
-    if dim < 1 or header[:2] != ["index", "label"]:
-        raise ArtifactError(f"{path}: malformed embeddings header")
+    class_count = _field(path, _comment_fields(path, comments), "class_count")
+    dim = _coordinate_count(path, header, ["index", "label"], "embeddings")
     try:
         labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
         emb = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float64)
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         raise ArtifactError(f"{path}: malformed embeddings row") from err
-    if emb.size == 0:
-        emb = emb.reshape(0, dim)
-    if emb.shape[1] != dim:
-        raise ArtifactError(f"{path}: row width does not match header")
+    emb = emb.reshape(len(rows), dim)
     try:
         return LabeledEmbeddingSet(emb, labels, class_count)
     except ContractError as err:
@@ -303,13 +318,12 @@ def save_points_csv(points, path):
 
 def load_points_csv(path) -> np.ndarray:
     _, header, rows = _read_csv(path, "points")
-    dim = len(header) - 1
+    dim = _coordinate_count(path, header, ["index"], "points")
     try:
         pts = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         raise ArtifactError(f"{path}: malformed points row") from err
-    if pts.size == 0:
-        pts = pts.reshape(0, dim)
+    pts = pts.reshape(len(rows), dim)
     if not np.isfinite(pts).all():
         raise ArtifactError(f"{path}: points contain non-finite values")
     return pts
@@ -333,7 +347,7 @@ def load_outliers_csv(path) -> OutlierSet:
     if len(header) < 4 or header[0] != "class" or header[-3:] != ["log_density", "lambda", "q"]:
         raise ArtifactError(f"{path}: malformed outliers header")
     dim = len(header) - 4
-    fields = _comment_fields(comments)
+    fields = _comment_fields(path, comments)
     seed = _field(path, fields, "seed")
     attempts = _field(path, fields, "attempts",
                       lambda text: np.array([int(v) for v in text.split()], dtype=np.int64))
@@ -342,10 +356,9 @@ def load_outliers_csv(path) -> OutlierSet:
         emb = np.array([[float(v) for v in r[1:1 + dim]] for r in rows], dtype=np.float64)
         lds = np.array([float(r[1 + dim]) for r in rows], dtype=np.float64)
         lam_q = [(float(r[2 + dim]), float(r[3 + dim])) for r in rows] or [(0.0, 0.0)]
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         raise ArtifactError(f"{path}: malformed outliers row") from err
-    if emb.size == 0:
-        emb = emb.reshape(0, dim)
+    emb = emb.reshape(len(rows), dim)
     if not (np.isfinite(emb).all() and np.isfinite(lds).all() and np.isfinite(lam_q).all()):
         raise ArtifactError(f"{path}: outliers contain non-finite values")
     lam, q = lam_q[0]
@@ -367,7 +380,7 @@ def load_metrics_csv(path):
         raise ArtifactError(f"{path}: malformed metrics header")
     try:
         metrics = [(r[0], r[1], float(r[2]), float(r[3]), float(r[4])) for r in rows]
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         raise ArtifactError(f"{path}: malformed metrics row") from err
     if not np.isfinite([row[2:] for row in metrics]).all():
         raise ArtifactError(f"{path}: metrics contain non-finite values")
@@ -393,7 +406,7 @@ def load_loss_history_csv(path) -> np.ndarray:
         raise ArtifactError(f"{path}: malformed loss-history header")
     try:
         history = np.array([[float(r[0]), float(r[1])] for r in rows], dtype=np.float64)
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         raise ArtifactError(f"{path}: malformed loss-history row") from err
     if not np.isfinite(history).all():
         raise ArtifactError(f"{path}: loss history contains non-finite values")

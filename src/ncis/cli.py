@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import RunConfig, load_config, parse_config
 from .errors import NcisError, ParseError
@@ -39,11 +40,7 @@ def build_parser():
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else parse_config("")
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ParseError("--seed must be >= 0")
-        cfg.seed = args.seed
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def main(argv=None) -> int:

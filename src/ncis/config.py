@@ -3,150 +3,34 @@
 Keys are dotted and namespaced per pipeline stage (``density.lambda``,
 ``classifier.beta``, ...); a few common hyperparameters also accept bare
 aliases (``lambda``, ``p``, ``beta``, ``q``).  ``#`` starts a comment.
-Unknown keys, type mismatches, out-of-range values and a key set twice
+Unknown keys, values that do not parse as the key's type and a key set twice
 (also through an alias) are parse errors that name the offending lines.
 After the file, ``NCIS_<KEY>`` environment variables (dots replaced by
 underscores, upper-cased) override values; two variables that set the
 same key (``NCIS_LAMBDA`` and ``NCIS_DENSITY_LAMBDA``) are a parse error.
-With ``embed.source = csv``, every ``data.*_csv`` path must then be set.
 
 ``RunConfig`` is the one configuration object: the pipeline stages and the
-library's training and embedding loops all read it.  Each field's default
-is declared on the class and its range once, in ``KEY_TABLE``; a
-``RunConfig`` built in code runs the same range checks at construction and
-raises ``ContractError`` naming the key.
+library's training and embedding loops all read it.  Each key is declared
+once, as a field of ``RunConfig`` (the key with its dot as an underscore)
+that carries its type, default, range check and range text; ``KEY_TABLE``
+is read off those fields.  A ``RunConfig`` is immutable, and building one
+is the one place a value is checked: an integral number is stored as
+``int`` and a real number as ``float`` for the field's type, any other type
+(``bool`` included) or a value out of range raises ``ContractError`` naming
+the key, and so does ``embed.source = csv`` unless every ``data.*_csv``
+path is set.  ``parse_config`` builds one ``RunConfig`` from the file's and
+the environment's values, and re-raises such an error as a ``ParseError``
+that names the line or variable that set the key.  Derive a changed
+configuration with ``dataclasses.replace``, which runs the same checks.
 """
 
-from __future__ import annotations
-
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ContractError, ParseError
-
-
-@dataclass
-class RunConfig:
-    seed: int = 7
-    benchmark_n_per_class: int = 200
-    benchmark_noise: float = 0.05
-    benchmark_margin: float = 0.3
-    benchmark_ood_count: int = 600
-    embed_source: str = "toy-benchmark"
-    embed_iterations: int = 150
-    embed_batch_size: int = 64
-    embed_learning_rate: float = 0.01
-    embed_timesteps: int = 50
-    data_train_csv: str = ""
-    data_heldout_csv: str = ""
-    data_ood_csv: str = ""
-    invariants_p: float = 2.0
-    invariants_k_override: int = 0
-    cvpn_num_blocks: int = 4
-    cvpn_hidden_width: int = 32
-    cvpn_train_lr: float = 1e-3
-    cvpn_train_iterations: int = 5000
-    cvpn_train_batch: int = 128
-    density_lambda: float = 1e-5
-    sample_n_per_class: int = 1000
-    sample_q: float = 0.05
-    sample_max_attempts: int = 0
-    classifier_beta: float = 1.0
-    classifier_epochs: int = 800
-    classifier_lr: float = 3e-3
-    classifier_batch: int = 128
-    classifier_hidden_width: int = 64
-    classifier_phi_hidden: int = 8
-
-    def __post_init__(self):
-        for key, (check, desc) in KEY_TABLE.items():
-            value = getattr(self, _field(key))
-            if not check(value):
-                raise ContractError(f"{key} out of range (must be {desc}), got {value!r}")
-
-
-def _positive_int(v):
-    return v >= 1
-
-
-def _non_negative_int(v):
-    return v >= 0
-
-
-def _positive_float(v):
-    return math.isfinite(v) and v > 0
-
-
-def _non_negative_float(v):
-    return math.isfinite(v) and v >= 0
-
-
-def _open_percent(v):
-    return math.isfinite(v) and 0 < v < 100
-
-
-def _open_unit(v):
-    return math.isfinite(v) and 0 < v < 1
-
-
-def _any_string(v):
-    return True
-
-
-def _source_choice(v):
-    return v in ("toy-benchmark", "toy-denoiser", "csv")
-
-
-# key -> (range check, range description): the one declaration of each key's
-# range, run by the parser on every value it reads and by RunConfig on every
-# field at construction.  A key's RunConfig field is the key with its dot as an
-# underscore, and its type is the type of that field's default.
-KEY_TABLE = {
-    "seed": (_non_negative_int, ">= 0"),
-    "benchmark.n_per_class": (_positive_int, ">= 1"),
-    "benchmark.noise": (_positive_float, "> 0"),
-    "benchmark.margin": (_positive_float, "> 0"),
-    "benchmark.ood_count": (_positive_int, ">= 1"),
-    "embed.source": (_source_choice, "one of toy-benchmark|toy-denoiser|csv"),
-    "embed.iterations": (_non_negative_int, ">= 0"),
-    "embed.batch_size": (_positive_int, ">= 1"),
-    "embed.learning_rate": (_positive_float, "> 0"),
-    "embed.timesteps": (_positive_int, ">= 1"),
-    "data.train_csv": (_any_string, "a path"),
-    "data.heldout_csv": (_any_string, "a path"),
-    "data.ood_csv": (_any_string, "a path"),
-    "invariants.p": (_open_percent, "in (0, 100)"),
-    "invariants.k_override": (_non_negative_int, ">= 0"),
-    "cvpn.num_blocks": (_positive_int, ">= 1"),
-    "cvpn.hidden_width": (_positive_int, ">= 1"),
-    "cvpn.train_lr": (_positive_float, "> 0"),
-    "cvpn.train_iterations": (_positive_int, ">= 1"),
-    "cvpn.train_batch": (_positive_int, ">= 1"),
-    "density.lambda": (_positive_float, "> 0"),
-    "sample.n_per_class": (_positive_int, ">= 1"),
-    "sample.q": (_open_unit, "in (0, 1)"),
-    "sample.max_attempts": (_non_negative_int, ">= 0"),
-    "classifier.beta": (_non_negative_float, ">= 0"),
-    "classifier.epochs": (_positive_int, ">= 1"),
-    "classifier.lr": (_positive_float, "> 0"),
-    "classifier.batch": (_positive_int, ">= 1"),
-    "classifier.hidden_width": (_positive_int, ">= 1"),
-    "classifier.phi_hidden": (_positive_int, ">= 1"),
-}
-
-ALIASES = {
-    "lambda": "density.lambda",
-    "p": "invariants.p",
-    "beta": "classifier.beta",
-    "q": "sample.q",
-}
-
-ENV_PREFIX = "NCIS_"
-
-# the fields naming the external CSVs that embed reads when embed.source = csv
-CSV_SOURCE_FIELDS = ("data_train_csv", "data_heldout_csv", "data_ood_csv")
 
 
 def _field(key):
@@ -157,17 +41,107 @@ def _key(attr):
     return attr.replace("_", ".", 1)
 
 
+# each range's text -> its check; the chained comparisons refuse nan and inf
+_RANGES = {
+    ">= 0": lambda v: 0 <= v < math.inf,
+    ">= 1": lambda v: 1 <= v < math.inf,
+    "> 0": lambda v: 0 < v < math.inf,
+    "in (0, 100)": lambda v: 0 < v < 100,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "one of toy-benchmark|toy-denoiser|csv":
+        lambda v: v in ("toy-benchmark", "toy-denoiser", "csv"),
+    "a path": lambda v: True,
+}
+
+
+def _key_field(default, text):
+    """A key's field: its default, and its range as text and as a check."""
+    return field(default=default, metadata={"check": _RANGES[text], "range": text})
+
+
+# the fields naming the external CSVs that embed reads when embed.source = csv
+CSV_SOURCE_FIELDS = ("data_train_csv", "data_heldout_csv", "data_ood_csv")
+
+# the types a field of each type accepts, each stored as the field's type
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, str: str}
+
+
+def _refusal(key, problem):
+    """A ``ContractError`` naming ``key``, which ``parse_config`` reads back
+    to name the line or variable that set it."""
+    err = ContractError(f"{key} {problem}")
+    err.key = key
+    return err
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    seed: int = _key_field(7, ">= 0")
+    benchmark_n_per_class: int = _key_field(200, ">= 1")
+    benchmark_noise: float = _key_field(0.05, "> 0")
+    benchmark_margin: float = _key_field(0.3, "> 0")
+    benchmark_ood_count: int = _key_field(600, ">= 1")
+    embed_source: str = _key_field("toy-benchmark", "one of toy-benchmark|toy-denoiser|csv")
+    embed_iterations: int = _key_field(150, ">= 0")
+    embed_batch_size: int = _key_field(64, ">= 1")
+    embed_learning_rate: float = _key_field(0.01, "> 0")
+    embed_timesteps: int = _key_field(50, ">= 1")
+    data_train_csv: str = _key_field("", "a path")
+    data_heldout_csv: str = _key_field("", "a path")
+    data_ood_csv: str = _key_field("", "a path")
+    invariants_p: float = _key_field(2.0, "in (0, 100)")
+    invariants_k_override: int = _key_field(0, ">= 0")
+    cvpn_num_blocks: int = _key_field(4, ">= 1")
+    cvpn_hidden_width: int = _key_field(32, ">= 1")
+    cvpn_train_lr: float = _key_field(1e-3, "> 0")
+    cvpn_train_iterations: int = _key_field(5000, ">= 1")
+    cvpn_train_batch: int = _key_field(128, ">= 1")
+    density_lambda: float = _key_field(1e-5, "> 0")
+    sample_n_per_class: int = _key_field(1000, ">= 1")
+    sample_q: float = _key_field(0.05, "in (0, 1)")
+    sample_max_attempts: int = _key_field(0, ">= 0")
+    classifier_beta: float = _key_field(1.0, ">= 0")
+    classifier_epochs: int = _key_field(800, ">= 1")
+    classifier_lr: float = _key_field(3e-3, "> 0")
+    classifier_batch: int = _key_field(128, ">= 1")
+    classifier_hidden_width: int = _key_field(64, ">= 1")
+    classifier_phi_hidden: int = _key_field(8, ">= 1")
+
+    def __post_init__(self):
+        for f in fields(self):
+            key, value = _key(f.name), getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
+                raise _refusal(key, f"must be {f.type.__name__}, got {value!r}")
+            value = f.type(value)
+            if not f.metadata["check"](value):
+                raise _refusal(key, f"out of range (must be {f.metadata['range']}), got {value!r}")
+            object.__setattr__(self, f.name, value)
+        if self.embed_source == "csv":
+            for name in CSV_SOURCE_FIELDS:
+                if not getattr(self, name):
+                    raise _refusal("embed.source", f"= csv needs a path for '{_key(name)}'")
+
+
+# key -> (range check, range text), read off the RunConfig fields
+KEY_TABLE = {_key(f.name): (f.metadata["check"], f.metadata["range"]) for f in fields(RunConfig)}
+
+ALIASES = {
+    "lambda": "density.lambda",
+    "p": "invariants.p",
+    "beta": "classifier.beta",
+    "q": "sample.q",
+}
+
+ENV_PREFIX = "NCIS_"
+
+
 def _parse_value(key, raw, line=None):
-    check, desc = KEY_TABLE[key]
-    attr = _field(key)
-    kind = type(getattr(RunConfig, attr))
+    """``raw`` as the type of ``key``'s field; its range is RunConfig's to check."""
+    kind = RunConfig.__annotations__[_field(key)]
     try:
-        value = kind(raw)
+        return kind(raw)
     except ValueError:
         raise ParseError(f"value for '{key}' must be {kind.__name__}, got {raw!r}", line)
-    if not check(value):
-        raise ParseError(f"value for '{key}' out of range (must be {desc}), got {raw!r}", line)
-    return attr, value
 
 
 def _resolve_key(key, line=None):
@@ -177,31 +151,27 @@ def _resolve_key(key, line=None):
     return key
 
 
-def apply_env_overrides(cfg: RunConfig, environ=None) -> RunConfig:
-    """Set each key named by an ``NCIS_<KEY>`` variable; two that name the
-    same key (a key's and an alias's) are a ``ParseError``."""
-    environ = os.environ if environ is None else environ
-    set_by = {}
-    for key in list(KEY_TABLE) + list(ALIASES):
-        env_name = ENV_PREFIX + key.upper().replace(".", "_")
+def _env_values(environ):
+    """{key: (value, variable)} for each key an ``NCIS_<KEY>`` variable sets;
+    two that name the same key (a key's and an alias's) are a ``ParseError``."""
+    found = {}
+    for name in list(KEY_TABLE) + list(ALIASES):
+        env_name = ENV_PREFIX + name.upper().replace(".", "_")
         if env_name in environ:
-            canonical = _resolve_key(key)
-            if canonical in set_by:
-                raise ParseError(f"environment variables {set_by[canonical]} and {env_name} "
-                                 f"both set '{canonical}'")
-            set_by[canonical] = env_name
+            key = _resolve_key(name)
+            if key in found:
+                raise ParseError(f"environment variables {found[key][1]} and {env_name} "
+                                 f"both set '{key}'")
             try:
-                attr, value = _parse_value(canonical, environ[env_name])
+                found[key] = (_parse_value(key, environ[env_name]), env_name)
             except ParseError as err:
                 raise ParseError(f"environment variable {env_name}: {err}") from err
-            setattr(cfg, attr, value)
-    return cfg
+    return found
 
 
 def parse_config(text: str, environ=None) -> RunConfig:
     """Parse configuration text, fill defaults, apply environment overrides."""
-    cfg = RunConfig()
-    set_on = {}
+    values, set_on = {}, {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -209,18 +179,19 @@ def parse_config(text: str, environ=None) -> RunConfig:
         key, equals, raw = (part.strip() for part in line.partition("="))
         if not (key and equals and raw):
             raise ParseError(f"expected 'key = value', got {raw_line.strip()!r}", lineno)
-        canonical = _resolve_key(key, lineno)
-        if canonical in set_on:
-            raise ParseError(f"'{canonical}' is already set on line {set_on[canonical]}", lineno)
-        set_on[canonical] = lineno
-        attr, value = _parse_value(canonical, raw, lineno)
-        setattr(cfg, attr, value)
-    cfg = apply_env_overrides(cfg, environ)
-    if cfg.embed_source == "csv":
-        for attr in CSV_SOURCE_FIELDS:
-            if not getattr(cfg, attr):
-                raise ParseError(f"embed.source = csv needs a path for '{_key(attr)}'")
-    return cfg
+        key = _resolve_key(key, lineno)
+        if key in set_on:
+            raise ParseError(f"'{key}' is already set on line {set_on[key]}", lineno)
+        set_on[key] = lineno
+        values[key] = _parse_value(key, raw, lineno)
+    env = _env_values(os.environ if environ is None else environ)
+    values.update((key, value) for key, (value, _) in env.items())
+    try:
+        return RunConfig(**{_field(key): value for key, value in values.items()})
+    except ContractError as err:
+        if err.key in env:
+            raise ParseError(f"environment variable {env[err.key][1]}: {err}") from err
+        raise ParseError(str(err), set_on.get(err.key)) from err
 
 
 def load_config(path, environ=None) -> RunConfig:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,13 @@ def test_malformed_parameter_shape_rejected(trained_model, tmp_path):
     ("embeddings", artifacts.load_embeddings_csv, "# class_count 2", "# class_count three"),
     ("outliers", artifacts.load_outliers_csv, "# seed 7", "# seed seven"),
     ("outliers", artifacts.load_outliers_csv, "# attempts 10 12", "# attempts 10 x"),
-], ids=["class_count", "seed", "attempts"])
+    # a field given twice: neither line may silently win
+    ("embeddings", artifacts.load_embeddings_csv, "# class_count 2",
+     "# class_count 2\n# class_count 5"),
+    ("outliers", artifacts.load_outliers_csv, "# seed 7", "# seed 7\n# seed 8"),
+    ("outliers", artifacts.load_outliers_csv, "# attempts 10 12",
+     "# attempts 10 12\n# attempts 10 13"),
+], ids=["class_count", "seed", "attempts", "class_count-twice", "seed-twice", "attempts-twice"])
 def test_malformed_csv_comment_rejected(tmp_path, save, load, comment, bad):
     path = tmp_path / f"{save}.csv"
     if save == "embeddings":
@@ -291,3 +299,35 @@ def test_out_of_range_meta_field_rejected(toy_run, tmp_path, kind, line, bad, er
     path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
     with pytest.raises(error):
         load(path)
+
+
+@pytest.mark.parametrize("kind", ["cvpn", "bank"])
+@pytest.mark.parametrize("section", ["meta", "array"])
+def test_record_refuses_a_name_given_twice(toy_run, tmp_path, kind, section):
+    # neither copy may silently win: a second copy is refused, naming it
+    path, load = _saved_record(toy_run, tmp_path, kind)
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
+    parts = lines[head].split()
+    name = parts[1]
+    span = 1 if section == "meta" else 1 + (int(parts[3]) if parts[2] == "2" else 1)
+    lines[-1:-1] = lines[head:head + span]  # before the end line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ArtifactError, match=f"{kind}.txt: {section} '{re.escape(name)}'.*twice"):
+        load(path)
+
+
+@pytest.mark.parametrize("header, rows", [
+    ("index,e0,e1", ["0,0.5", "1,2.0"]),
+    ("index,e0", ["0,0.5,-1.0", "1,2.0,0.25"]),
+    ("index", ["0", "1"]),
+    ("index", []),
+    ("index,e1,e0", ["0,0.5,-1.0"]),
+    ("label,e0", ["0,0.5"]),
+], ids=["rows-narrower", "rows-wider", "no-coordinates", "no-coordinates-no-rows",
+        "misnamed-columns", "no-index"])
+def test_points_csv_checks_its_header_and_row_width(tmp_path, header, rows):
+    path = tmp_path / "ood.csv"
+    path.write_text("\n".join(["# ncis-points v1", header] + rows) + "\n")
+    with pytest.raises(ArtifactError, match="ood.csv"):
+        artifacts.load_points_csv(path)

@@ -1,9 +1,10 @@
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 
-from ncis import config
+from ncis import config, pipeline
 from ncis.config import KEY_TABLE, RunConfig, config_lines, namespace_fields, parse_config
 from ncis.errors import ContractError, ParseError
 
@@ -145,3 +146,55 @@ def test_csv_source_requires_every_path():
     assert cfg.data_ood_csv == "c.csv"
     with pytest.raises(ParseError, match="data.train_csv"):
         parse_config("", environ={"NCIS_EMBED_SOURCE": "csv"})
+
+
+def test_run_config_built_in_code_keys_like_the_parsed_config():
+    # an int in a float field, or a numpy integer, is the parsed value
+    parsed = parse_config("classifier.beta = 1\nseed = 7\n", environ={})
+    for built in (RunConfig(classifier_beta=1), RunConfig(seed=np.int64(7))):
+        assert config_lines(built, ("classifier_beta", "seed")) == ["classifier.beta = 1.0",
+                                                                   "seed = 7"]
+        for stage in pipeline.STAGES:
+            assert pipeline.stage_key(stage, built, {}) == pipeline.stage_key(stage, parsed, {})
+    assert type(RunConfig(classifier_beta=np.float32(0.5)).classifier_beta) is float
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", "7"), ("seed", True), ("seed", 7.0), ("seed", None),
+    ("classifier_beta", "1.0"), ("classifier_beta", False), ("embed_source", 1),
+])
+def test_run_config_refuses_a_value_of_the_wrong_type(field, value):
+    key = field.replace("_", ".", 1)
+    with pytest.raises(ContractError, match=f"^{re.escape(key)} must be "):
+        RunConfig(**{field: value})
+
+
+def test_run_config_is_frozen_and_replace_runs_its_checks():
+    cfg = RunConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.cvpn_train_iterations = 0
+    assert replace(cfg, seed=np.int64(3)).seed == 3
+    with pytest.raises(ContractError, match="cvpn.train_iterations"):
+        replace(cfg, cvpn_train_iterations=0)
+
+
+def test_run_config_csv_source_built_in_code_requires_every_path():
+    with pytest.raises(ContractError, match="data.train_csv"):
+        RunConfig(embed_source="csv")
+    with pytest.raises(ContractError, match="data.ood_csv"):
+        RunConfig(embed_source="csv", data_train_csv="a.csv", data_heldout_csv="b.csv")
+    cfg = RunConfig(embed_source="csv", data_train_csv="a.csv", data_heldout_csv="b.csv",
+                    data_ood_csv="c.csv")
+    assert cfg.data_ood_csv == "c.csv"
+
+
+def test_parse_errors_name_where_the_value_was_set():
+    with pytest.raises(ParseError, match=r"^line 3: density.lambda out of range"):
+        parse_config("seed = 1\n\nlambda = -1\n", environ={})
+    with pytest.raises(ParseError, match="^environment variable NCIS_SEED: .*must be int"):
+        parse_config("", environ={"NCIS_SEED": "x"})
+    with pytest.raises(ParseError, match="^environment variable NCIS_P: invariants.p out of range"):
+        parse_config("p = 3\n", environ={"NCIS_P": "100"})
+    # the csv rule names the line that chose the source, and the missing key
+    with pytest.raises(ParseError, match=r"^line 2: embed.source = csv needs .*'data.train_csv'"):
+        parse_config("seed = 1\nembed.source = csv\n", environ={})

@@ -1,4 +1,5 @@
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,31 @@ def test_cli_seed_flag_overrides(tmp_path):
     a = artifacts.load_embeddings_csv(tmp_path / "a" / "embeddings_train.csv")
     b = artifacts.load_embeddings_csv(tmp_path / "b" / "embeddings_train.csv")
     assert not np.array_equal(a.embeddings, b.embeddings)
+
+
+def test_cli_seed_flag_runs_the_seed_range_check(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["run-all", "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert "error: seed out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_seed_flag_builds_a_new_config(monkeypatch):
+    monkeypatch.setenv("NCIS_CLASSIFIER_BETA", "0.5")
+    cfg = cli._load(cli.build_parser().parse_args(["embed", "--seed", "12"]))
+    assert (cfg.seed, cfg.classifier_beta) == (12, 0.5)
+
+
+def test_pipeline_reuses_a_cli_run_for_a_config_built_in_code(tmp_path, capsys):
+    # an int for a float key, or a numpy integer, keys each stage as the parsed value does
+    out = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(write_tiny_config(tmp_path)),
+                     "--out", str(out)]) == 0
+    cfg = replace(tiny_cfg(), classifier_beta=1, seed=np.int64(5))
+    messages = []
+    pipeline.run_pipeline(cfg, out, log=messages.append)
+    assert messages and all(m.endswith("skipping") for m in messages)
 
 
 def test_cli_sweep_lambda(tmp_path, capsys):
