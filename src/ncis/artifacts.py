@@ -3,7 +3,11 @@
 Every float is written with ``repr``, whose shortest round-trip form makes
 write -> read -> write byte-identical.  Record files carry a kind tag and a
 schema version in their first line; CSV files carry them in a leading comment
-line.  Loaders validate structure eagerly and name the offending field.
+line.  Each CSV table's columns are declared once, in ``CSV_TABLES``, from
+which one writer builds the header and one reader checks it.  Loaders
+validate structure eagerly and name the offending field or file.  Each
+format a pipeline stage reads or writes has a ``save_<format>(obj, path)``
+and a ``load_<format>(path)``, which the pipeline driver looks up by name.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import numpy as np
 
 from .cvpn import CvpnModel, build_cvpn
 from .data import LabeledEmbeddingSet
-from .density import ClassGaussianBank
-from .errors import ArtifactError, ContractError
+from .density import ClassGaussianBank, regularized_cholesky
+from .errors import ArtifactError, ContractError, NumericError
 from .ood_classifier import EnergyClassifier, build_energy_classifier
 from .outlier_sampling import OutlierSet
 
@@ -213,24 +217,23 @@ def load_bank(path) -> ClassGaussianBank:
     if class_count < 1 or dim < 1:
         raise ArtifactError(f"{path}: meta fields 'class_count' and 'dim' must be >= 1, "
                             f"got {class_count} and {dim}")
-    for c in range(class_count):
-        for field, want in ((f"mean{c}", (dim,)), (f"cov{c}", (dim, dim)), (f"train_logdens{c}", None)):
-            if field not in arrays:
-                raise ArtifactError(f"{path}: missing array '{field}'")
-            if want and arrays[field].shape != want:
-                raise ArtifactError(f"{path}: array '{field}' has shape {arrays[field].shape}, expected {want}")
-    extra = set(arrays) - {f"{kind}{c}" for c in range(class_count)
-                           for kind in ("mean", "cov", "train_logdens")}
+    shapes = {f"{kind}{c}": want for c in range(class_count)
+              for kind, want in (("mean", (dim,)), ("cov", (dim, dim)), ("train_logdens", None))}
+    for field, want in shapes.items():
+        if field not in arrays:
+            raise ArtifactError(f"{path}: missing array '{field}'")
+        if want and arrays[field].shape != want:
+            raise ArtifactError(f"{path}: array '{field}' has shape {arrays[field].shape}, expected {want}")
+    extra = set(arrays) - set(shapes)
     if extra:
         raise ArtifactError(f"{path}: unexpected array '{sorted(extra)[0]}'")
     means = np.stack([arrays[f"mean{c}"] for c in range(class_count)])
     covs = np.stack([arrays[f"cov{c}"] for c in range(class_count)])
-    chols = np.empty_like(covs)
-    for c in range(class_count):
-        try:
-            chols[c] = np.linalg.cholesky(covs[c] + lam * np.eye(dim))
-        except np.linalg.LinAlgError as err:
-            raise ArtifactError(f"{path}: array 'cov{c}' is not positive semi-definite") from err
+    try:
+        chols = np.stack([regularized_cholesky(covs[c], lam, f"array 'cov{c}'")
+                          for c in range(class_count)])
+    except NumericError as err:
+        raise ArtifactError(f"{path}: {err}") from err
     logdens = [arrays[f"train_logdens{c}"] for c in range(class_count)]
     return ClassGaussianBank(lam, means, covs, chols, logdens)
 
@@ -247,15 +250,37 @@ def load_classifier(path) -> EnergyClassifier:
 # CSV tables
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, tag, comments, header, rows):
+# Each table's columns, by the tag of its "# ncis-<tag> v1" line: those before
+# its e0..e{D-1} coordinates and those after them, the latter None for a
+# table with no coordinates.  Saver and loader both build the header here.
+CSV_TABLES = {
+    "embeddings": (["index", "label"], []),
+    "points": (["index"], []),
+    "outliers": (["class"], ["log_density", "lambda", "q"]),
+    "loss-history": (["iteration", "loss"], None),
+    "metrics": (["dataset", "method", "fpr95", "auroc", "accuracy"], None),
+    "scores": (["index", "tag", "score", "energy"], None),
+    "sweep": (["lambda", "fpr95", "auroc", "accuracy", "mean_invariant_magnitude"], None),
+}
+
+
+def _csv_header(tag, dim):
+    lead, tail = CSV_TABLES[tag]
+    return lead if tail is None else lead + [f"e{j}" for j in range(dim)] + tail
+
+
+def _write_csv(path, tag, rows, dim=0, comments=()):
     lines = [f"# ncis-{tag} v{SCHEMA_VERSION}"]
     lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(header))
+    lines.append(",".join(_csv_header(tag, dim)))
     lines.extend(",".join(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _read_csv(path, tag):
+    """(comment fields, D, rows) of a ``tag`` table, its header checked
+    against ``CSV_TABLES``; D is 0 for a table with no coordinates and at
+    least 1 otherwise, and rows hold the cells as text."""
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"missing artifact file: {path}")
@@ -275,146 +300,115 @@ def _read_csv(path, tag):
     rows = [line.split(",") for line in lines[i + 1:] if line]
     if any(len(row) != len(header) for row in rows):
         raise ArtifactError(f"{path}: row width does not match header")
-    return comments, header, rows
+    lead, tail = CSV_TABLES[tag]
+    dim = 0 if tail is None else len(header) - len(lead) - len(tail)
+    if (tail is not None and dim < 1) or header != _csv_header(tag, dim):
+        raise ArtifactError(f"{path}: malformed {tag} header")
+    return _comment_fields(path, comments), dim, rows
 
 
-def _coordinate_count(path, header, lead, kind):
-    """D of a ``lead,e0,...,e{D-1}`` header; ArtifactError unless D >= 1."""
-    dim = len(header) - len(lead)
-    if dim < 1 or header != lead + [f"e{j}" for j in range(dim)]:
-        raise ArtifactError(f"{path}: malformed {kind} header")
-    return dim
+def _columns(path, rows, start, stop, dtype=np.float64):
+    """Columns ``start:stop`` of ``rows`` as an (N, stop - start) array;
+    ArtifactError naming the file for a malformed or non-finite value."""
+    cast = int if dtype == np.int64 else float
+    try:
+        values = np.array([[cast(v) for v in r[start:stop]] for r in rows], dtype=dtype)
+    except ValueError as err:
+        raise ArtifactError(f"{path}: malformed row") from err
+    values = values.reshape(len(rows), stop - start)
+    if not np.isfinite(values).all():
+        raise ArtifactError(f"{path}: non-finite values")
+    return values
 
 
 def save_embeddings_csv(data: LabeledEmbeddingSet, path):
-    header = ["index", "label"] + [f"e{j}" for j in range(data.dim)]
     rows = [[str(i), str(int(data.labels[i]))] + [_fmt(v) for v in data.embeddings[i]]
             for i in range(len(data))]
-    _write_csv(path, "embeddings", [f"class_count {data.class_count}"], header, rows)
+    _write_csv(path, "embeddings", rows, data.dim, [f"class_count {data.class_count}"])
 
 
 def load_embeddings_csv(path) -> LabeledEmbeddingSet:
-    comments, header, rows = _read_csv(path, "embeddings")
-    class_count = _field(path, _comment_fields(path, comments), "class_count")
-    dim = _coordinate_count(path, header, ["index", "label"], "embeddings")
+    fields, dim, rows = _read_csv(path, "embeddings")
+    class_count = _field(path, fields, "class_count")
+    labels = _columns(path, rows, 1, 2, np.int64)[:, 0]
     try:
-        labels = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        emb = np.array([[float(v) for v in r[2:]] for r in rows], dtype=np.float64)
-    except ValueError as err:
-        raise ArtifactError(f"{path}: malformed embeddings row") from err
-    emb = emb.reshape(len(rows), dim)
-    try:
-        return LabeledEmbeddingSet(emb, labels, class_count)
+        return LabeledEmbeddingSet(_columns(path, rows, 2, 2 + dim), labels, class_count)
     except ContractError as err:
         raise ArtifactError(f"{path}: {err}") from err
 
 
 def save_points_csv(points, path):
     points = np.asarray(points, dtype=np.float64)
-    header = ["index"] + [f"e{j}" for j in range(points.shape[1])]
     rows = [[str(i)] + [_fmt(v) for v in p] for i, p in enumerate(points)]
-    _write_csv(path, "points", [], header, rows)
+    _write_csv(path, "points", rows, points.shape[1])
 
 
 def load_points_csv(path) -> np.ndarray:
-    _, header, rows = _read_csv(path, "points")
-    dim = _coordinate_count(path, header, ["index"], "points")
-    try:
-        pts = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-    except ValueError as err:
-        raise ArtifactError(f"{path}: malformed points row") from err
-    pts = pts.reshape(len(rows), dim)
-    if not np.isfinite(pts).all():
-        raise ArtifactError(f"{path}: points contain non-finite values")
-    return pts
+    _, dim, rows = _read_csv(path, "points")
+    return _columns(path, rows, 1, 1 + dim)
 
 
 def save_outliers_csv(outliers: OutlierSet, path):
-    dim = outliers.dim
-    header = ["class"] + [f"e{j}" for j in range(dim)] + ["log_density", "lambda", "q"]
-    rows = []
-    for i in range(len(outliers)):
-        rows.append([str(int(outliers.labels[i]))]
-                    + [_fmt(v) for v in outliers.embeddings[i]]
-                    + [_fmt(outliers.log_densities[i]), _fmt(outliers.lam), _fmt(outliers.q)])
+    rows = [[str(int(outliers.labels[i]))]
+            + [_fmt(v) for v in outliers.embeddings[i]]
+            + [_fmt(outliers.log_densities[i]), _fmt(outliers.lam), _fmt(outliers.q)]
+            for i in range(len(outliers))]
     comments = [f"seed {outliers.seed}",
                 "attempts " + " ".join(str(int(a)) for a in outliers.attempts)]
-    _write_csv(path, "outliers", comments, header, rows)
+    _write_csv(path, "outliers", rows, outliers.dim, comments)
 
 
 def load_outliers_csv(path) -> OutlierSet:
-    comments, header, rows = _read_csv(path, "outliers")
-    if len(header) < 4 or header[0] != "class" or header[-3:] != ["log_density", "lambda", "q"]:
-        raise ArtifactError(f"{path}: malformed outliers header")
-    dim = len(header) - 4
-    fields = _comment_fields(path, comments)
+    fields, dim, rows = _read_csv(path, "outliers")
     seed = _field(path, fields, "seed")
     attempts = _field(path, fields, "attempts",
                       lambda text: np.array([int(v) for v in text.split()], dtype=np.int64))
-    try:
-        labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        emb = np.array([[float(v) for v in r[1:1 + dim]] for r in rows], dtype=np.float64)
-        lds = np.array([float(r[1 + dim]) for r in rows], dtype=np.float64)
-        lam_q = [(float(r[2 + dim]), float(r[3 + dim])) for r in rows] or [(0.0, 0.0)]
-    except ValueError as err:
-        raise ArtifactError(f"{path}: malformed outliers row") from err
-    emb = emb.reshape(len(rows), dim)
-    if not (np.isfinite(emb).all() and np.isfinite(lds).all() and np.isfinite(lam_q).all()):
-        raise ArtifactError(f"{path}: outliers contain non-finite values")
-    lam, q = lam_q[0]
-    if any(row != (lam, q) for row in lam_q):
+    labels = _columns(path, rows, 0, 1, np.int64)[:, 0]
+    emb = _columns(path, rows, 1, 1 + dim)
+    lds = _columns(path, rows, 1 + dim, 2 + dim)[:, 0]
+    lam_q = _columns(path, rows, 2 + dim, 4 + dim)
+    lam, q = (float(v) for v in lam_q[0]) if rows else (0.0, 0.0)
+    if (lam_q != (lam, q)).any():
         raise ArtifactError(f"{path}: outliers rows disagree on lambda or q")
     return OutlierSet(emb, labels, lds, lam, q, seed, attempts)
 
 
 def save_metrics_csv(rows, path):
     """rows: list of (dataset, method, fpr95, auroc, accuracy)."""
-    header = ["dataset", "method", "fpr95", "auroc", "accuracy"]
     body = [[str(d), str(m), _fmt(f), _fmt(a), _fmt(acc)] for d, m, f, a, acc in rows]
-    _write_csv(path, "metrics", [], header, body)
+    _write_csv(path, "metrics", body)
 
 
 def load_metrics_csv(path):
-    _, header, rows = _read_csv(path, "metrics")
-    if header != ["dataset", "method", "fpr95", "auroc", "accuracy"]:
-        raise ArtifactError(f"{path}: malformed metrics header")
-    try:
-        metrics = [(r[0], r[1], float(r[2]), float(r[3]), float(r[4])) for r in rows]
-    except ValueError as err:
-        raise ArtifactError(f"{path}: malformed metrics row") from err
-    if not np.isfinite([row[2:] for row in metrics]).all():
-        raise ArtifactError(f"{path}: metrics contain non-finite values")
-    return metrics
+    _, _, rows = _read_csv(path, "metrics")
+    values = _columns(path, rows, 2, 5)
+    return [(r[0], r[1], *(float(v) for v in row)) for r, row in zip(rows, values)]
 
 
 def save_scores_csv(rows, path):
     """rows: list of (index, tag, score, energy)."""
-    header = ["index", "tag", "score", "energy"]
     body = [[str(i), str(t), _fmt(s), _fmt(e)] for i, t, s, e in rows]
-    _write_csv(path, "scores", [], header, body)
+    _write_csv(path, "scores", body)
+
+
+def load_scores_csv(path):
+    _, _, rows = _read_csv(path, "scores")
+    index = _columns(path, rows, 0, 1, np.int64)[:, 0]
+    values = _columns(path, rows, 2, 4)
+    return [(int(i), r[1], float(s), float(e)) for i, r, (s, e) in zip(index, rows, values)]
 
 
 def save_loss_history_csv(history, path):
-    header = ["iteration", "loss"]
     body = [[str(int(it)), _fmt(loss)] for it, loss in history]
-    _write_csv(path, "loss-history", [], header, body)
+    _write_csv(path, "loss-history", body)
 
 
 def load_loss_history_csv(path) -> np.ndarray:
-    _, header, rows = _read_csv(path, "loss-history")
-    if header != ["iteration", "loss"]:
-        raise ArtifactError(f"{path}: malformed loss-history header")
-    try:
-        history = np.array([[float(r[0]), float(r[1])] for r in rows], dtype=np.float64)
-    except ValueError as err:
-        raise ArtifactError(f"{path}: malformed loss-history row") from err
-    if not np.isfinite(history).all():
-        raise ArtifactError(f"{path}: loss history contains non-finite values")
-    return history
+    _, _, rows = _read_csv(path, "loss-history")
+    return _columns(path, rows, 0, 2)
 
 
 def save_sweep_csv(rows, path):
     """rows: list of (lam, fpr95, auroc, accuracy, mean_invariant_magnitude)."""
-    header = ["lambda", "fpr95", "auroc", "accuracy", "mean_invariant_magnitude"]
     body = [[_fmt(l), _fmt(f), _fmt(a), _fmt(acc), _fmt(m)] for l, f, a, acc, m in rows]
-    _write_csv(path, "sweep", [], header, body)
+    _write_csv(path, "sweep", body)

@@ -58,6 +58,15 @@ def _logdens(mean, chol, points):
     return -0.5 * (mean.shape[0] * _LOG_2PI + logdet + maha)
 
 
+def regularized_cholesky(cov, lam, name):
+    """Lower Cholesky factor of ``cov + lam * I``; ``NumericError`` naming
+    ``cov`` as ``name`` when that matrix is not positive definite."""
+    try:
+        return np.linalg.cholesky(cov + lam * np.eye(cov.shape[0]))
+    except np.linalg.LinAlgError as err:
+        raise NumericError(f"{name} plus lam * I is not positive definite") from err
+
+
 def fit_class_gaussians(vectors, labels, lam, class_count=None) -> ClassGaussianBank:
     """Fit one Gaussian per class with biased covariance and lam*I regularization."""
     if lam <= 0:
@@ -82,7 +91,6 @@ def fit_class_gaussians(vectors, labels, lam, class_count=None) -> ClassGaussian
     covs = np.empty((class_count, dim, dim))
     chols = np.empty((class_count, dim, dim))
     logdens = []
-    eye = np.eye(dim)
 
     for label in range(class_count):
         pts = vectors[labels == label]
@@ -92,10 +100,7 @@ def fit_class_gaussians(vectors, labels, lam, class_count=None) -> ClassGaussian
         diff = pts - mu
         cov = diff.T @ diff / pts.shape[0]
         cov = 0.5 * (cov + cov.T)
-        try:
-            chol = np.linalg.cholesky(cov + lam * eye)
-        except np.linalg.LinAlgError as err:
-            raise NumericError(f"Cholesky factorization failed for class {label}") from err
+        chol = regularized_cholesky(cov, lam, f"covariance of class {label}")
         means[label] = mu
         covs[label] = cov
         chols[label] = chol

@@ -5,20 +5,24 @@ directory, so every stage can also run standalone.  ``STAGES`` holds one
 record per stage, in run order: its body, the configuration fields the body
 reads (named by key namespace, so a new ``cvpn.*`` key joins train-cvpn's
 fields), the artifacts it reads (plus the external CSVs when
-``embed.source = csv``) and writes, and its command-line help.  A stage's
+``embed.source = csv``) and writes, and its command-line help.  A body never
+touches the output directory: the driver loads each input with the
+``artifacts`` loader that ``FORMATS`` names for its file, passes the objects
+to the body, and saves what the body returns the same way.  A stage's
 cache key is a sha256 over the canonical ``key = value`` lines of its fields
 and the sha256 of each file it reads, so the key changes exactly when
 something it reads changes.
 
 ``manifest.json`` holds one record per completed stage: its key and the
 digests of the files it read and wrote.  A stage is skipped when its record
-carries the current key and its outputs are present, run when it has no
-record (stray outputs of a crashed run are overwritten), and refused when its
-record carries a different key: stale artifacts are never silently reused,
-nor overwritten.  A stage run on its own is refused, too, when a recorded
-stage upstream of it carries a different key.  A stage writes its outputs
-into a staging directory; they are moved into place with ``os.replace``, so
-no output is ever left half written, and the manifest is written after them.
+carries the current key and its outputs are present with the recorded
+digests, run when it has no record (stray outputs of a crashed run are
+overwritten), and refused when its record carries a different key or an
+output was changed: stale artifacts are never silently reused, nor
+overwritten.  A stage run on its own is refused, too, when a recorded stage
+upstream of it carries a different key.  A stage writes its outputs into a
+staging directory; they are moved into place with ``os.replace``, so no
+output is ever left half written, and the manifest is written after them.
 """
 
 from __future__ import annotations
@@ -99,20 +103,17 @@ def stage_key(stage, cfg: RunConfig, input_digests):
 
 
 # ---------------------------------------------------------------------------
-# stage bodies: each reads its inputs from the run directory and writes its
-# outputs into ``dest``, a staging directory that ``run_pipeline`` empties
-# into the run directory once the body has returned
+# stage bodies: each takes the configuration and the objects loaded from its
+# input artifacts, in STAGES order, and returns its output objects in STAGES
+# order; the driver (``_run_stage``) loads and saves them
 # ---------------------------------------------------------------------------
-
-def _toy_denoiser_matrix(dim, seed):
-    rng = np.random.default_rng(seed)
-    return np.eye(dim) + 0.25 * rng.standard_normal((dim, dim))
-
 
 def _embed_with_toy_denoiser(cfg: RunConfig, bench):
     # Recover structured embeddings from toy samples with the analytic denoiser
     schedule = embedding.NoiseSchedule.linear(cfg.embed_timesteps)
-    denoiser = embedding.LinearToyDenoiser(_toy_denoiser_matrix(bench.train.dim, cfg.seed))
+    dim = bench.train.dim
+    denoiser = embedding.LinearToyDenoiser(
+        np.eye(dim) + 0.25 * np.random.default_rng(cfg.seed).standard_normal((dim, dim)))
     scale = float(np.mean(np.sqrt(schedule.alpha_bar)))
     anchors = np.stack([
         np.linalg.solve(denoiser.matrix, scale * bench.train.class_points(c).mean(axis=0))
@@ -129,104 +130,71 @@ def _embed_with_toy_denoiser(cfg: RunConfig, bench):
     return train, heldout, ood.embeddings
 
 
-def stage_embed(cfg: RunConfig, run_dir: Path, dest: Path):
+def stage_embed(cfg: RunConfig):
     if cfg.embed_source == "csv":
-        train = artifacts.load_embeddings_csv(cfg.data_train_csv)
-        heldout = artifacts.load_embeddings_csv(cfg.data_heldout_csv)
-        ood = artifacts.load_points_csv(cfg.data_ood_csv)
-    else:
-        bench = evalharness.make_toy_benchmark(
-            cfg.seed, cfg.benchmark_n_per_class,
-            noise=cfg.benchmark_noise, margin=cfg.benchmark_margin,
-            ood_count=cfg.benchmark_ood_count)
-        if cfg.embed_source == "toy-denoiser":
-            train, heldout, ood = _embed_with_toy_denoiser(cfg, bench)
-        else:
-            train, heldout, ood = bench.train, bench.heldout, bench.ood
-    artifacts.save_embeddings_csv(train, dest / "embeddings_train.csv")
-    artifacts.save_embeddings_csv(heldout, dest / "embeddings_heldout.csv")
-    artifacts.save_points_csv(ood, dest / "ood_test.csv")
+        return (artifacts.load_embeddings_csv(cfg.data_train_csv),
+                artifacts.load_embeddings_csv(cfg.data_heldout_csv),
+                artifacts.load_points_csv(cfg.data_ood_csv))
+    bench = evalharness.make_toy_benchmark(
+        cfg.seed, cfg.benchmark_n_per_class,
+        noise=cfg.benchmark_noise, margin=cfg.benchmark_margin,
+        ood_count=cfg.benchmark_ood_count)
+    if cfg.embed_source == "toy-denoiser":
+        return _embed_with_toy_denoiser(cfg, bench)
+    return bench.train, bench.heldout, bench.ood
 
 
-def stage_train_cvpn(cfg: RunConfig, run_dir: Path, dest: Path):
-    train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
+def stage_train_cvpn(cfg: RunConfig, train):
     if cfg.invariants_k_override > 0:
         k = cfg.invariants_k_override
     else:
         k = invariant_training.select_num_invariants(train, cfg.invariants_p)
     model = cvpn.build_cvpn(train.dim, k, cfg.cvpn_num_blocks, train.class_count,
                             cfg.cvpn_hidden_width, cfg.seed)
-    model, history = invariant_training.train_cvpn(model, train, cfg)
-    artifacts.save_cvpn(model, dest / "cvpn.txt")
-    artifacts.save_loss_history_csv(history, dest / "loss_history.csv")
+    return invariant_training.train_cvpn(model, train, cfg)
 
 
-def stage_fit_density(cfg: RunConfig, run_dir: Path, dest: Path):
-    model = artifacts.load_cvpn(run_dir / "cvpn.txt")
-    train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
+def stage_fit_density(cfg: RunConfig, model, train):
     vectors = cvpn.cvpn_forward_batch(model, train.embeddings, train.labels)
-    bank = density.fit_class_gaussians(vectors, train.labels, cfg.density_lambda,
-                                       class_count=model.class_count)
-    artifacts.save_bank(bank, dest / "bank.txt")
+    return (density.fit_class_gaussians(vectors, train.labels, cfg.density_lambda,
+                                        class_count=model.class_count),)
 
 
-def stage_sample_outliers(cfg: RunConfig, run_dir: Path, dest: Path):
-    model = artifacts.load_cvpn(run_dir / "cvpn.txt")
-    bank = artifacts.load_bank(run_dir / "bank.txt")
+def stage_sample_outliers(cfg: RunConfig, model, bank):
     max_attempts = cfg.sample_max_attempts if cfg.sample_max_attempts > 0 else None
-    outliers = outlier_sampling.synthesize_outliers(
+    return (outlier_sampling.synthesize_outliers(
         model, bank, cfg.sample_n_per_class, q=cfg.sample_q,
-        max_attempts=max_attempts, seed=cfg.seed)
-    artifacts.save_outliers_csv(outliers, dest / "outliers.csv")
+        max_attempts=max_attempts, seed=cfg.seed),)
 
 
-def stage_train_classifier(cfg: RunConfig, run_dir: Path, dest: Path):
-    train = artifacts.load_embeddings_csv(run_dir / "embeddings_train.csv")
-    outliers = artifacts.load_outliers_csv(run_dir / "outliers.csv")
-    clf = ood_classifier.train_energy_classifier(train, outliers, cfg)
-    artifacts.save_classifier(clf, dest / "classifier.txt")
+def stage_train_classifier(cfg: RunConfig, train, outliers):
+    return (ood_classifier.train_energy_classifier(train, outliers, cfg),)
 
 
-def _score_samples(clf, heldout, ood):
+def stage_evaluate(cfg: RunConfig, clf, heldout, ood):
+    energies = [ood_classifier.sample_energies(clf, x) for x in (heldout.embeddings, ood)]
     # beta = 0 trains a plain cross-entropy classifier whose scoring head is
     # never updated; fall back to the raw (negated) energy score there.
     if clf.beta > 0:
-        id_scores = ood_classifier.ood_scores(clf, heldout.embeddings)
-        ood_scores = ood_classifier.ood_scores(clf, ood)
+        scores = [ood_classifier.ood_scores(clf, x) for x in (heldout.embeddings, ood)]
         method = "ncis"
     else:
-        id_scores = -ood_classifier.sample_energies(clf, heldout.embeddings)
-        ood_scores = -ood_classifier.sample_energies(clf, ood)
+        scores = [-e for e in energies]
         method = "energy"
-    return id_scores, ood_scores, method
-
-
-def stage_evaluate(cfg: RunConfig, run_dir: Path, dest: Path):
-    clf = artifacts.load_classifier(run_dir / "classifier.txt")
-    heldout = artifacts.load_embeddings_csv(run_dir / "embeddings_heldout.csv")
-    ood = artifacts.load_points_csv(run_dir / "ood_test.csv")
-
-    id_scores, ood_scores, method = _score_samples(clf, heldout, ood)
-    samples = evalharness.scores_to_samples(id_scores, ood_scores)
+    samples = evalharness.scores_to_samples(*scores)
     fpr = evalharness.fpr_at_tpr(samples, 0.95)
     auc = evalharness.auroc(samples)
     acc = evalharness.classification_accuracy(
         ood_classifier.predict_labels(clf, heldout.embeddings), heldout.labels)
     dataset = "toy" if cfg.embed_source != "csv" else "csv"
-    artifacts.save_metrics_csv([(dataset, method, fpr, auc, acc)], dest / "metrics.csv")
-
-    rows = []
-    energies_id = ood_classifier.sample_energies(clf, heldout.embeddings)
-    for i, (s, e) in enumerate(zip(id_scores, energies_id)):
-        rows.append((i, str(int(heldout.labels[i])), s, e))
-    energies_ood = ood_classifier.sample_energies(clf, ood)
-    for i, (s, e) in enumerate(zip(ood_scores, energies_ood)):
-        rows.append((len(id_scores) + i, "OOD", s, e))
-    artifacts.save_scores_csv(rows, dest / "scores.csv")
+    tags = [str(int(label)) for label in heldout.labels] + ["OOD"] * len(ood)
+    rows = zip(itertools.count(), tags, np.concatenate(scores), np.concatenate(energies))
+    return [(dataset, method, fpr, auc, acc)], list(rows)
 
 
-# a stage: its body, the RunConfig fields the body reads, the artifacts it
-# reads from and writes to the output directory, and its help line
+# a stage: its body, the RunConfig fields the body reads, the artifacts the
+# driver loads for it and saves from it, in body argument and result order,
+# and its help line
 Stage = namedtuple("Stage", "body fields inputs outputs help")
 
 
@@ -266,17 +234,40 @@ STAGES = {
 # driver
 # ---------------------------------------------------------------------------
 
+# the format of each artifact file: it is read with ``artifacts.load_<format>``
+# and written with ``artifacts.save_<format>``, looked up at each call
+FORMATS = {
+    "embeddings_train.csv": "embeddings_csv",
+    "embeddings_heldout.csv": "embeddings_csv",
+    "ood_test.csv": "points_csv",
+    "cvpn.txt": "cvpn",
+    "loss_history.csv": "loss_history_csv",
+    "bank.txt": "bank",
+    "outliers.csv": "outliers_csv",
+    "classifier.txt": "classifier",
+    "metrics.csv": "metrics_csv",
+    "scores.csv": "scores_csv",
+}
+
+
+def _load(run_dir: Path, name):
+    return getattr(artifacts, f"load_{FORMATS[name]}")(run_dir / name)
+
+
 def _run_stage(stage, cfg: RunConfig, out_dir: Path):
-    """Run one stage body and move its outputs into ``out_dir``; returns
-    {output name: sha256}."""
+    """Load the stage's inputs from ``out_dir``, run its body, save what it
+    returns into a staging directory and move those files into ``out_dir``;
+    returns {output name: sha256}."""
     staging = out_dir / f".{stage}.partial"
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir()
-    outputs = STAGES[stage].outputs
+    spec = STAGES[stage]
     try:
-        STAGES[stage].body(cfg, out_dir, staging)
-        digests = {name: _file_digest(staging / name) for name in outputs}
-        for name in outputs:
+        results = spec.body(cfg, *(_load(out_dir, name) for name in spec.inputs))
+        for name, obj in zip(spec.outputs, results, strict=True):
+            getattr(artifacts, f"save_{FORMATS[name]}")(obj, staging / name)
+        digests = {name: _file_digest(staging / name) for name in spec.outputs}
+        for name in spec.outputs:
             os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -304,9 +295,10 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
     """Run the requested stages in order; returns {stage: [output paths]}.
 
     A stage whose manifest record carries its current key and whose outputs
-    exist is skipped.  A stage with no record is run, overwriting any stray
-    outputs.  A stage whose record carries a different key raises
-    ``ArtifactError`` instead of being overwritten, and so does a requested
+    exist is skipped, or refused with ``ArtifactError`` when an output's
+    digest differs from its record.  A stage with no record is run,
+    overwriting any stray outputs.  A stage whose record carries a different
+    key raises ``ArtifactError`` instead of being overwritten, and so does a requested
     stage when an unrequested stage upstream of it (in ``STAGES`` order) has
     a record with a different key; unrecorded upstream stages are not checked.
     """
@@ -326,7 +318,13 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
                 _checked_key(upstream, cfg, out_dir, manifest)
         outputs = [out_dir / name for name in STAGES[stage].outputs]
         inputs, key = _checked_key(stage, cfg, out_dir, manifest)
-        if stage in manifest["stages"] and all(p.exists() for p in outputs):
+        record = manifest["stages"].get(stage)
+        if record is not None and all(p.exists() for p in outputs):
+            for path in outputs:
+                if _file_digest(path) != record.get("outputs", {}).get(path.name):
+                    raise ArtifactError(
+                        f"stage '{stage}': {path} differs from the file the stage wrote; "
+                        f"refusing to reuse or overwrite it (use a fresh output directory)")
             if log:
                 log(f"[{stage}] outputs up to date, skipping")
             produced[stage] = outputs
@@ -436,10 +434,9 @@ def _sweep_branch(cfg: RunConfig, sub_dir: Path, stages):
     lines = []
     try:
         run_pipeline(cfg, sub_dir, stages=stages, log=lines.append)
-        model = artifacts.load_cvpn(sub_dir / "cvpn.txt")
-        outliers = artifacts.load_outliers_csv(sub_dir / "outliers.csv")
-        magnitude = outlier_sampling.mean_invariant_magnitude(model, outliers)
-        _, _, fpr, auc, acc = artifacts.load_metrics_csv(sub_dir / "metrics.csv")[0]
+        magnitude = outlier_sampling.mean_invariant_magnitude(
+            _load(sub_dir, "cvpn.txt"), _load(sub_dir, "outliers.csv"))
+        _, _, fpr, auc, acc = _load(sub_dir, "metrics.csv")[0]
     except NcisError as err:
         return None, lines, err
     return (cfg.density_lambda, fpr, auc, acc, magnitude), lines, None

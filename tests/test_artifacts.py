@@ -331,3 +331,23 @@ def test_points_csv_checks_its_header_and_row_width(tmp_path, header, rows):
     path.write_text("\n".join(["# ncis-points v1", header] + rows) + "\n")
     with pytest.raises(ArtifactError, match="ood.csv"):
         artifacts.load_points_csv(path)
+
+
+def test_bank_refuses_a_covariance_not_positive_definite_after_lam(toy_run, tmp_path):
+    # cov + lam * I must factorize; a negative-definite cov1 names its array
+    bank = toy_run.bank
+    covs = bank.covariances.copy()
+    covs[1] = -np.eye(bank.dim)
+    path = tmp_path / "bank.txt"
+    artifacts.save_bank(density.ClassGaussianBank(bank.lam, bank.means, covs, None,
+                                                  bank.train_logdens), path)
+    with pytest.raises(ArtifactError,
+                       match=r"bank.txt: array 'cov1' plus lam \* I is not positive definite"):
+        artifacts.load_bank(path)
+
+
+def test_scores_csv_round_trip(tmp_path):
+    rows = [(0, "2", 0.5, -1.25), (1, "OOD", -3.0, 0.125)]
+    path = tmp_path / "scores.csv"
+    artifacts.save_scores_csv(rows, path)
+    assert artifacts.load_scores_csv(path) == rows

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncis import cvpn, density
-from ncis.errors import ContractError
+from ncis.errors import ContractError, NumericError
 
 
 def test_fit_hand_example():
@@ -151,3 +151,11 @@ def test_quadrature_mass_identity_model():
     cell = ((hi[0] - lo[0]) / n) * ((hi[1] - lo[1]) / n)
     mass = np.exp(density.log_density_e_batch(bank, model, grid, 0)).sum() * cell
     assert mass == pytest.approx(1.0, abs=0.01)
+
+
+def test_regularized_cholesky_names_a_matrix_not_positive_definite():
+    cov = np.array([[1.0, 0.0], [0.0, -1.0]])
+    assert np.array_equal(density.regularized_cholesky(np.eye(2), 0.25, "cov"),
+                          np.sqrt(1.25) * np.eye(2))
+    with pytest.raises(NumericError, match="^class 2 plus lam"):
+        density.regularized_cholesky(cov, 1e-5, "class 2")

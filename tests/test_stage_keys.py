@@ -3,15 +3,14 @@
 import filecmp
 import multiprocessing
 import os
-import shutil
 import sys
 import time
 from dataclasses import replace
 
 import pytest
 
-from ncis import invariant_training, pipeline
-from ncis.config import RunConfig, config_lines
+from ncis import artifacts, invariant_training, pipeline
+from ncis.config import CSV_SOURCE_FIELDS, RunConfig, config_lines
 from ncis.errors import ArtifactError, ParseError, PipelineError, SamplingError
 
 from conftest import config_with
@@ -149,9 +148,9 @@ def test_sweep_forked_and_inline_branches_agree(tmp_path, monkeypatch):
     pids = tmp_path / "pids"
     pids.mkdir()
 
-    def fit_recording_pid(cfg, run_dir, dest):
-        (pids / f"{run_dir.parent.name}-{run_dir.name}").write_text(str(os.getpid()))
-        fit.body(cfg, run_dir, dest)
+    def fit_recording_pid(cfg, *inputs):
+        (pids / f"workers{workers}-{cfg.density_lambda:.0e}").write_text(str(os.getpid()))
+        return fit.body(cfg, *inputs)
 
     monkeypatch.setitem(pipeline.STAGES, "fit-density", fit._replace(body=fit_recording_pid))
     rows = {}
@@ -214,7 +213,7 @@ def test_sweep_raises_first_failure_in_list_order_after_started_branches(tmp_pat
     sample = pipeline.STAGES["sample-outliers"]
     later_failed = tmp_path / "later-failed"
 
-    def sample_failing(cfg, run_dir, dest):
+    def sample_failing(cfg, *inputs):
         if cfg.density_lambda == 1e-4:
             later_failed.touch()
             raise SamplingError("no outliers at lambda 1e-04")
@@ -223,7 +222,7 @@ def test_sweep_raises_first_failure_in_list_order_after_started_branches(tmp_pat
             while not later_failed.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise SamplingError("no outliers at lambda 1e-06")
-        sample.body(cfg, run_dir, dest)
+        return sample.body(cfg, *inputs)
 
     monkeypatch.setitem(pipeline.STAGES, "sample-outliers", sample._replace(body=sample_failing))
     out = tmp_path / "sweep"
@@ -248,30 +247,55 @@ class ReadRecorder:
         return getattr(self._cfg, name)
 
 
-def test_stage_bodies_read_only_declared_fields_and_inputs(tmp_path):
-    # each body runs with only its declared input files at hand, on a config
-    # that records every field read: an undeclared field or file fails here
-    # instead of letting a changed value reuse stale outputs
+def test_stage_bodies_read_only_declared_fields_and_inputs(tmp_path, monkeypatch):
+    # each body runs on its declared inputs, loaded by the driver's table, and
+    # on a config that records every field read, while every artifacts loader
+    # records the files it opens: an undeclared field, or a file other than
+    # the external CSVs the embed config names, fails here instead of letting
+    # a changed value reuse stale outputs
     full = tmp_path / "full"
     pipeline.run_pipeline(tiny_cfg(), full)
     configs = {stage: [tiny_cfg()] for stage in pipeline.STAGES}
     configs["embed"] += [tiny_cfg("embed.source = toy-denoiser\nbenchmark.n_per_class = 10\n"
                                   "benchmark.ood_count = 5\n"),
                          tiny_cfg(csv_source(full))]
+    opened = []
+    for attr in [a for a in vars(artifacts) if a.startswith("load_")]:
+        load = getattr(artifacts, attr)
+        monkeypatch.setattr(artifacts, attr,
+                            lambda path, load=load: opened.append(str(path)) or load(path))
     for stage, cfgs in configs.items():
         read = set()
         for i, cfg in enumerate(cfgs):
-            run_dir = tmp_path / f"{stage}-{i}-in"
-            dest = tmp_path / f"{stage}-{i}-out"
-            run_dir.mkdir()
-            dest.mkdir()
-            for name in pipeline.STAGES[stage].inputs:
-                shutil.copyfile(full / name, run_dir / name)
+            inputs = [pipeline._load(full, name) for name in pipeline.STAGES[stage].inputs]
+            opened.clear()
             recorder = ReadRecorder(cfg)
-            pipeline.STAGES[stage].body(recorder, run_dir, dest)
-            assert sorted(p.name for p in dest.iterdir()) == sorted(pipeline.STAGES[stage].outputs)
+            outputs = pipeline.STAGES[stage].body(recorder, *inputs)
+            assert opened == [getattr(cfg, f) for f in CSV_SOURCE_FIELDS if getattr(cfg, f)]
+            dest = tmp_path / f"{stage}-{i}-out"
+            dest.mkdir()
+            for name, obj in zip(pipeline.STAGES[stage].outputs, outputs, strict=True):
+                getattr(artifacts, f"save_{pipeline.FORMATS[name]}")(obj, dest / name)
+                pipeline._load(dest, name)
             read |= recorder.read
         assert read == set(pipeline.STAGES[stage].fields), stage
+
+
+def test_stage_table_shape():
+    # each input is the output of exactly one earlier stage, which
+    # run_pipeline's upstream check and SWEEP_SHARED_STAGES rely on, and
+    # each file has a loader and a saver
+    made_by = {}
+    for stage, spec in pipeline.STAGES.items():
+        for name in spec.inputs:
+            assert name in made_by, (stage, name)
+        for name in spec.outputs:
+            assert name not in made_by, (stage, name)
+            made_by[name] = stage
+    assert set(pipeline.FORMATS) == set(made_by)
+    for name, fmt in pipeline.FORMATS.items():
+        assert callable(getattr(artifacts, f"load_{fmt}", None)), name
+        assert callable(getattr(artifacts, f"save_{fmt}", None)), name
 
 
 def test_stage_key_tracks_declared_fields_and_inputs():
@@ -309,3 +333,24 @@ def test_default_key_lines_are_stable():
     lines = {name: config_lines(RunConfig(), stage.fields)
              for name, stage in pipeline.STAGES.items()}
     assert lines == DEFAULT_KEY_LINES
+
+
+def test_edited_output_of_a_skipped_stage_is_refused(tmp_path):
+    # a blank line added to metrics.csv still loads; only its digest tells
+    out = tmp_path / "run"
+    pipeline.run_pipeline(tiny_cfg(), out)
+    metrics = out / "metrics.csv"
+    metrics.write_bytes(metrics.read_bytes() + b"\n")
+    messages = []
+    with pytest.raises(ArtifactError, match="^stage 'evaluate': .*metrics.csv"):
+        pipeline.run_pipeline(tiny_cfg(), out, log=messages.append)
+    assert messages == [f"[{s}] outputs up to date, skipping" for s in list(pipeline.STAGES)[:-1]]
+
+
+def test_sweep_refuses_a_header_only_metrics_csv(tmp_path):
+    out = tmp_path / "sweep"
+    pipeline.sweep_lambda(tiny_cfg(), out)
+    metrics = out / "lambda_1e-05" / "metrics.csv"
+    metrics.write_text("".join(metrics.read_text().splitlines(keepends=True)[:2]))
+    with pytest.raises(ArtifactError, match="^stage 'evaluate': .*lambda_1e-05.*metrics.csv"):
+        pipeline.sweep_lambda(tiny_cfg(), out)
