@@ -301,20 +301,26 @@ def _triu_indices(dim):
 
 
 def skew_matrix(flat, dim):
-    """Build the skew-symmetric matrix whose strict upper triangle is ``flat``."""
+    """Build the skew-symmetric matrix whose strict upper triangle is ``flat``.
+
+    A ``(B, dim*(dim-1)/2)`` stack of parameter vectors gives a ``(B, dim,
+    dim)`` stack of matrices.
+    """
     flat = np.asarray(flat, dtype=np.float64)
     expected = dim * (dim - 1) // 2
-    if flat.shape != (expected,):
+    if flat.ndim not in (1, 2) or flat.shape[-1] != expected:
         raise ContractError(f"skew parameters must have length {expected}, got {flat.shape}")
-    m = np.zeros((dim, dim))
-    m[_triu_indices(dim)] = flat
-    return m - m.T
+    m = np.zeros(flat.shape[:-1] + (dim, dim))
+    m[(..., *_triu_indices(dim))] = flat
+    return m - np.swapaxes(m, -1, -2)
 
 
 def cayley_rotation(flat, dim, transpose=False):
     """The rotation Q = (I + S)^-1 (I - S) for skew-symmetric S; det Q = +1.
 
-    ``transpose`` negates S, which gives Q^T.
+    ``transpose`` negates S, which gives Q^T.  A stack of parameter vectors
+    gives a stack of rotations from one stacked solve, each equal bit for
+    bit to its own call.
     """
     s = skew_matrix(value_of(flat), dim)
     if transpose:

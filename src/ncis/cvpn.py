@@ -124,17 +124,25 @@ def _check_batch(model, xs, labels):
     return xs, labels
 
 
-def cvpn_forward_batch(model, xs, labels, saved=None):
+def _rotations(model, transpose=False):
+    """Every block's Cayley rotation (or its transpose), from one stacked solve."""
+    skews = np.stack([model.params[f"block{i}.orth_skew"] for i in range(model.num_blocks)])
+    return ad.cayley_rotation(skews, model.dim, transpose)
+
+
+def cvpn_forward_batch(model, xs, labels, saved=None, out=None):
     """The forward map of each row under its class label.  If ``saved`` is a
-    list, each block appends ``(q, x_in, layers, inputs)`` for the backward pass."""
+    list, each block appends ``(q, x_in, layers, inputs)`` for the backward
+    pass.  ``out`` holds one ``mlp.step_buffers`` per block, for a training
+    step's translation nets."""
     x, labels = _check_batch(model, xs, labels)
     P, d = model.params, ceil_half(model.dim)
     class_rows = P["class_embed"][labels]
-    for i in range(model.num_blocks):
-        q = ad.cayley_rotation(P[f"block{i}.orth_skew"], model.dim)
+    for i, q in enumerate(_rotations(model)):
         rotated = x @ q.T
         layers = translation_layers(P, i)
-        t, inputs = tanh_mlp(layers, np.concatenate([rotated[:, d:], class_rows], axis=1))
+        t, inputs = tanh_mlp(layers, np.concatenate([rotated[:, d:], class_rows], axis=1),
+                             None if out is None else out[i])
         if saved is not None:
             saved.append((q, x, layers, inputs))
         x = np.concatenate([rotated[:, :d] + t, rotated[:, d:]], axis=1)
@@ -146,10 +154,11 @@ def cvpn_inverse_batch(model, vs, labels):
     v, labels = _check_batch(model, vs, labels)
     P, d = model.params, ceil_half(model.dim)
     class_rows = P["class_embed"][labels]
+    q_t = _rotations(model, transpose=True)
     for i in reversed(range(model.num_blocks)):
         t, _ = tanh_mlp(translation_layers(P, i), np.concatenate([v[:, d:], class_rows], axis=1))
         v = np.concatenate([v[:, :d] - t, v[:, d:]], axis=1)
-        v = v @ ad.cayley_rotation(P[f"block{i}.orth_skew"], model.dim, transpose=True).T
+        v = v @ q_t[i].T
     return v
 
 

@@ -22,7 +22,7 @@ from . import cvpn
 from .config import RunConfig
 from .data import LabeledEmbeddingSet, require_min_class_size
 from .errors import ContractError, NumericError
-from .mlp import tanh_mlp_backward
+from .mlp import step_buffers, tanh_mlp_backward
 from .optim import adam_init, adam_update, flatten_params, views_like
 
 
@@ -70,15 +70,16 @@ def invariant_loss(model, embeddings, labels) -> float:
     return float(np.mean(np.sum(g * g, axis=1)))
 
 
-def invariant_loss_and_grad(model, x, labels, grads) -> float:
-    """Batch loss ``sum(out[:, :k] ** 2) / B`` of ``cvpn.cvpn_forward_batch`` and its gradient.
+def invariant_loss_and_grad(model, x, labels, grads, out=None) -> float:
+    """Batch loss ``sum(y[:, :k] ** 2) / B`` of ``y = cvpn.cvpn_forward_batch`` and its gradient.
 
     A hand-written reverse pass over the blocks the forward call saved, checked
     against the tape reference ``cvpn.apply_blocks`` in the test suite.  Each
     gradient of ``model.params[name]`` is written into ``grads[name]``.
+    ``out`` holds one ``mlp.step_buffers`` per block's translation net.
     """
     saved = []
-    x = cvpn.cvpn_forward_batch(model, x, labels, saved)
+    x = cvpn.cvpn_forward_batch(model, x, labels, saved, out)
     batch, dim = x.shape
     d = cvpn.ceil_half(dim)
     scale = 1.0 / batch
@@ -90,7 +91,8 @@ def invariant_loss_and_grad(model, x, labels, grads) -> float:
     g_rows = np.zeros((batch, model.params["class_embed"].shape[1]))
     for i in range(model.num_blocks - 1, -1, -1):
         q, x_in, layers, inputs = saved[i]
-        g_tin = tanh_mlp_backward(layers, inputs, g[:, :d], cvpn.translation_layers(grads, i))
+        g_tin = tanh_mlp_backward(layers, inputs, g[:, :d], cvpn.translation_layers(grads, i),
+                                  None if out is None else out[i])
         g[:, d:] += g_tin[:, :dim - d]
         g_rows += g_tin[:, dim - d:]
         grads[f"block{i}.orth_skew"][...], g = ad.cayley_adjoint(q, x_in, g)
@@ -124,12 +126,14 @@ def train_cvpn(model, data: LabeledEmbeddingSet, cfg: RunConfig):
     n = len(data)
     bs = min(cfg.cvpn_train_batch, n)
     history = np.empty((cfg.cvpn_train_iterations, 2))
+    out = [step_buffers(cvpn.translation_layers(model.params, i), bs)
+           for i in range(model.num_blocks)]
 
     # the finite check below reports a non-finite step with its position
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.cvpn_train_iterations):
             idx = rng.choice(n, size=bs, replace=False)
-            loss = invariant_loss_and_grad(model, data.embeddings[idx], data.labels[idx], grads)
+            loss = invariant_loss_and_grad(model, data.embeddings[idx], data.labels[idx], grads, out)
             if not (math.isfinite(loss) and np.isfinite(grad).all()):
                 raise NumericError(f"training aborted at iteration {it}: non-finite loss or gradient")
             history[it, 0] = it

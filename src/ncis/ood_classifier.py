@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .config import RunConfig
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
-from .mlp import tanh_mlp, tanh_mlp_backward, tape_tanh_mlp
+from .mlp import step_buffers, tanh_mlp, tanh_mlp_backward, tape_tanh_mlp
 from .optim import adam_init, adam_update, flatten_params, views_like
 
 
@@ -142,7 +142,7 @@ def predict_labels(clf, xs) -> np.ndarray:
     return np.argmax(_row_logits(clf.params, _check_rows(clf, xs))[:, 0], axis=1)
 
 
-def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads):
+def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads, out=None):
     """One training step's ``(ce, separation)`` terms and the gradient of
     ``ce + beta * separation``.
 
@@ -151,12 +151,14 @@ def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads):
     outlier rows share one pass through the classifier.  With ``beta == 0``
     the separation term is not computed (it reads 0.0) and the scoring head's
     gradients are exactly zero.  The gradient of each ``P[name]`` is written
-    into ``grads[name]``, an array of the same shape.
+    into ``grads[name]``, an array of the same shape.  ``out`` holds the
+    ``mlp.step_buffers`` of the classifier and of the scoring head.
     """
+    clf_out, phi_out = (None, None) if out is None else out
     n_id = id_x.shape[0]
     x = id_x if beta == 0.0 else np.concatenate([id_x, ood_x])
     clf_layers = _clf_layers(P)
-    logits, clf_inputs = tanh_mlp(clf_layers, x)
+    logits, clf_inputs = tanh_mlp(clf_layers, x, clf_out)
     lse = ad.logsumexp(logits)
     soft = np.exp(logits - lse[:, None])
     rows = np.arange(n_id)
@@ -171,16 +173,17 @@ def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads):
     else:
         n_ood = x.shape[0] - n_id
         phi_layers = _phi_layers(P)
-        u, phi_inputs = tanh_mlp(phi_layers, -lse[:, None])
+        u, phi_inputs = tanh_mlp(phi_layers, -lse[:, None], phi_out)
         ls_id, d_id = ad.log_sigmoid_with_slope(u[:n_id, 0])
         ls_ood, d_ood = ad.log_sigmoid_with_slope(-u[n_id:, 0])
         separation = float(np.sum(-ls_ood) * (1.0 / n_ood) + np.sum(-ls_id) * (1.0 / n_id))
         g_u = np.concatenate([-(beta / n_id) * d_id, (beta / n_ood) * d_ood])
-        g_energy = tanh_mlp_backward(phi_layers, phi_inputs, g_u[:, None], _phi_layers(grads))
+        g_energy = tanh_mlp_backward(phi_layers, phi_inputs, g_u[:, None], _phi_layers(grads),
+                                     phi_out)
         g_logits = soft * g_energy * -1.0   # energy = -logsumexp(logits)
         g_logits[:n_id] += soft[:n_id] * (1.0 / n_id)
     g_logits[rows, id_y] -= 1.0 / n_id
-    tanh_mlp_backward(clf_layers, clf_inputs, g_logits, _clf_layers(grads))
+    tanh_mlp_backward(clf_layers, clf_inputs, g_logits, _clf_layers(grads), clf_out)
     return ce, separation
 
 
@@ -216,6 +219,8 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
     n_ood = ood_x.shape[0]
     bs = min(cfg.classifier_batch, n_id)
     steps = math.ceil(n_id / bs)
+    rows = bs if clf.beta == 0.0 else 2 * bs
+    out = (step_buffers(_clf_layers(clf.params), rows), step_buffers(_phi_layers(clf.params), rows))
 
     # the finite check below reports a non-finite step with its position
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +233,8 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
                 bi = order_id[step * bs:(step + 1) * bs]
                 bo = order_ood[step * bs:step * bs + bi.size]
                 ce, separation = classifier_loss_and_grad(
-                    clf.params, id_data.embeddings[bi], id_data.labels[bi], ood_x[bo], clf.beta, grads)
+                    clf.params, id_data.embeddings[bi], id_data.labels[bi], ood_x[bo], clf.beta,
+                    grads, out)
                 loss = ce + clf.beta * separation
                 if not (math.isfinite(loss) and np.isfinite(grad).all()):
                     raise NumericError(f"training aborted at epoch {epoch}: non-finite loss or gradient")

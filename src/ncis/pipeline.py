@@ -13,6 +13,13 @@ cache key is a sha256 over the canonical ``key = value`` lines of its fields
 and the sha256 of each file it reads, so the key changes exactly when
 something it reads changes.
 
+One call parses each file at most once, and no file it wrote: every object
+``_run_stage`` loads or saves is kept under the file's name and sha256 and
+handed to each later stage that reads a file with those bytes.  A sweep
+hands its shared stages' objects to every branch.  This is right because
+saving and loading an object gives it back field for field, and because no
+body changes its inputs; the test suite checks both.
+
 ``manifest.json`` holds one record per completed stage: its key and the
 digests of the files it read and wrote.  A stage is skipped when its record
 carries the current key and its outputs are present with the recorded
@@ -250,20 +257,33 @@ FORMATS = {
 }
 
 
-def _load(run_dir: Path, name):
-    return getattr(artifacts, f"load_{FORMATS[name]}")(run_dir / name)
+def _load(run_dir: Path, name, objects=None, digest=None):
+    """The object the artifact ``run_dir / name`` holds.
+
+    ``objects`` maps (file name, sha256 of the file's bytes) to the object
+    such a file holds: the object is taken from there when present, else
+    parsed with ``artifacts.load_<format>`` and added.  ``digest`` is the
+    file's sha256 when the caller already has it.
+    """
+    objects = {} if objects is None else objects
+    key = (name, digest or _file_digest(run_dir / name))
+    if key not in objects:
+        objects[key] = getattr(artifacts, f"load_{FORMATS[name]}")(run_dir / name)
+    return objects[key]
 
 
-def _run_stage(stage, cfg: RunConfig, out_dir: Path):
-    """Load the stage's inputs from ``out_dir``, run its body, save what it
-    returns into a staging directory and move those files into ``out_dir``;
-    returns {output name: sha256}."""
+def _run_stage(stage, cfg: RunConfig, out_dir: Path, inputs, objects):
+    """Run the stage's body on its inputs, save what it returns into a staging
+    directory and move those files into ``out_dir``; returns {output name:
+    sha256}.  ``inputs`` holds the sha256 of each input file; each input is
+    taken from ``objects`` (see ``_load``), and each output is added to it."""
     staging = out_dir / f".{stage}.partial"
     shutil.rmtree(staging, ignore_errors=True)
     staging.mkdir()
     spec = STAGES[stage]
     try:
-        results = spec.body(cfg, *(_load(out_dir, name) for name in spec.inputs))
+        results = spec.body(cfg, *(_load(out_dir, name, objects, inputs[name])
+                                   for name in spec.inputs))
         for name, obj in zip(spec.outputs, results, strict=True):
             getattr(artifacts, f"save_{FORMATS[name]}")(obj, staging / name)
         digests = {name: _file_digest(staging / name) for name in spec.outputs}
@@ -271,6 +291,7 @@ def _run_stage(stage, cfg: RunConfig, out_dir: Path):
             os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+    objects.update(((name, digests[name]), obj) for name, obj in zip(spec.outputs, results))
     return digests
 
 
@@ -291,7 +312,7 @@ def _checked_key(stage, cfg: RunConfig, out_dir: Path, manifest):
     return inputs, key
 
 
-def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
+def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None, objects=None):
     """Run the requested stages in order; returns {stage: [output paths]}.
 
     A stage whose manifest record carries its current key and whose outputs
@@ -301,7 +322,12 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
     key raises ``ArtifactError`` instead of being overwritten, and so does a requested
     stage when an unrequested stage upstream of it (in ``STAGES`` order) has
     a record with a different key; unrecorded upstream stages are not checked.
+
+    ``objects`` holds the artifact objects the call reuses and adds to (see
+    ``_load``); it starts empty unless the caller, like ``sweep_lambda``,
+    passes in the objects of an earlier call.
     """
+    objects = {} if objects is None else objects
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     order = list(STAGES)
@@ -330,7 +356,7 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None):
             produced[stage] = outputs
             continue
         try:
-            digests = _run_stage(stage, cfg, out_dir)
+            digests = _run_stage(stage, cfg, out_dir, inputs, objects)
         except NcisError as err:
             raise PipelineError(f"stage '{stage}': {err}") from err
         manifest["stages"][stage] = {"key": key, "inputs": inputs, "outputs": digests}
@@ -390,7 +416,7 @@ def _usable_cpus():
 
 def _env_count(name, default):
     value = os.environ.get(name, "").strip()
-    return int(value) if value.isdigit() and int(value) > 0 else default
+    return int(value) if value.isdecimal() and int(value) > 0 else default
 
 
 def _sweep_workers(branches):
@@ -409,10 +435,22 @@ def _sweep_workers(branches):
     return min(branches, max(1, cpus // blas))
 
 
-def _fork_pool(workers):
-    """A pool of ``workers`` forked processes; None for fewer than two, or
-    where fork is unavailable or, as on macOS, unsafe.  Forked, not spawned:
-    a spawned worker would import numpy again before its first task."""
+# in a forked sweep worker, the shared stages' objects it inherited from the
+# sweep that forked it (see ``_fork_pool``); empty in every other process
+_inherited = {}
+
+
+def _inherit(shared):
+    _inherited.update(shared)
+
+
+def _fork_pool(workers, shared):
+    """A pool of ``workers`` forked processes, each holding ``shared`` in
+    ``_inherited``; None for fewer than two, or where fork is unavailable
+    or, as on macOS, unsafe.  Forked, not spawned: a spawned worker would
+    import numpy again before its first task, and the fork hands ``shared``
+    over unpickled.  Pickled with each task, the lambda-sweep benchmark's
+    shared objects (~80 KB) raised the sweep process's peak RSS by ~0.4 MiB."""
     if workers < 2 or sys.platform == "darwin":
         return None
     # imported here so that `import ncis` does not pay for them
@@ -420,26 +458,34 @@ def _fork_pool(workers):
     from concurrent.futures import ProcessPoolExecutor
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_inherit, initargs=(shared,))
 
 
-def _sweep_branch(cfg: RunConfig, sub_dir: Path, stages):
+def _sweep_branch(cfg: RunConfig, sub_dir: Path, stages, shared):
     """One value's branch of the sweep: run ``stages`` in ``sub_dir`` and read
-    back its sweep row.
+    back its sweep row.  ``shared`` holds the shared stages' objects (see
+    ``_load``); the branch adds its own to a copy, which ends with it.
 
     Returns ``(row, log lines, error)``.  When a stage fails, ``row`` is None
     and ``error`` is its ``NcisError``, so the caller can print the lines
     written before the failure and then raise it.
     """
     lines = []
+    objects = dict(shared)
     try:
-        run_pipeline(cfg, sub_dir, stages=stages, log=lines.append)
+        run_pipeline(cfg, sub_dir, stages=stages, log=lines.append, objects=objects)
         magnitude = outlier_sampling.mean_invariant_magnitude(
-            _load(sub_dir, "cvpn.txt"), _load(sub_dir, "outliers.csv"))
-        _, _, fpr, auc, acc = _load(sub_dir, "metrics.csv")[0]
+            _load(sub_dir, "cvpn.txt", objects), _load(sub_dir, "outliers.csv", objects))
+        _, _, fpr, auc, acc = _load(sub_dir, "metrics.csv", objects)[0]
     except NcisError as err:
         return None, lines, err
     return (cfg.density_lambda, fpr, auc, acc, magnitude), lines, None
+
+
+def _forked_branch(cfg: RunConfig, sub_dir: Path, stages):
+    """``_sweep_branch`` in a forked worker, on the objects it inherited."""
+    return _sweep_branch(cfg, sub_dir, stages, _inherited)
 
 
 def _collect_rows(results, log):
@@ -464,7 +510,8 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     in the first value's directory; every further directory then receives
     copies of their outputs and manifest records, which ``run_pipeline``
     skips by key.  Every directory still holds the full artifact set, byte
-    for byte that of a separate run at its value.
+    for byte that of a separate run at its value.  Every branch is handed
+    the objects the shared stages wrote, so it parses none of their files.
 
     The per-value branches (fit-density onward) are independent.  They run in
     worker processes forked from this one, one per usable CPU left after
@@ -482,19 +529,20 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     dirs = [out_dir / name for name in names]
     cfgs = [replace(cfg, density_lambda=float(lam)) for lam in lambdas]
-    run_pipeline(cfgs[0], dirs[0], stages=SWEEP_SHARED_STAGES, log=log)
+    shared = {}
+    run_pipeline(cfgs[0], dirs[0], stages=SWEEP_SHARED_STAGES, log=log, objects=shared)
     for sub_dir in dirs[1:]:
         _copy_shared_stages(dirs[0], sub_dir)
     order = list(STAGES)
     branches = [(cfgs[0], dirs[0], order[len(SWEEP_SHARED_STAGES):])]
     branches += [(sub_cfg, sub_dir, order) for sub_cfg, sub_dir in zip(cfgs[1:], dirs[1:])]
 
-    pool = _fork_pool(_sweep_workers(len(branches)))
+    pool = _fork_pool(_sweep_workers(len(branches)), shared)
     if pool is None:
-        rows = _collect_rows((_sweep_branch(*branch) for branch in branches), log)
+        rows = _collect_rows((_sweep_branch(*branch, shared) for branch in branches), log)
     else:
         try:
-            futures = [pool.submit(_sweep_branch, *branch) for branch in branches]
+            futures = [pool.submit(_forked_branch, *branch) for branch in branches]
             rows = _collect_rows((future.result() for future in futures), log)
         finally:
             pool.shutdown(cancel_futures=True)

@@ -1,5 +1,6 @@
 """Shared fixtures: one full toy pipeline run per seed, computed lazily."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,3 +88,26 @@ def config_with(base, extra=""):
             key, _, value = line.partition("=")
             lines[key.strip()] = value.strip()
     return parse_config("\n".join(f"{k} = {v}" for k, v in lines.items()), environ={})
+
+
+def assert_same(a, b, where="object"):
+    """``a`` equals ``b`` field by field: arrays in value, dtype and shape,
+    dataclasses, dicts, lists and tuples member by member, anything else by ==."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), where
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert np.array_equal(a, b), where
+    elif dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for field in dataclasses.fields(a):
+            assert_same(getattr(a, field.name), getattr(b, field.name), f"{where}.{field.name}")
+    elif isinstance(a, dict):
+        assert isinstance(b, dict) and list(a) == list(b), where
+        for key in a:
+            assert_same(a[key], b[key], f"{where}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert isinstance(b, (list, tuple)) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, where

@@ -173,3 +173,23 @@ def test_cayley_rotation_is_special_orthogonal():
         q = ad.cayley_rotation(s, dim)
         assert np.abs(q.T @ q - np.eye(dim)).max() < 1e-10
         assert abs(np.linalg.det(q) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32])
+def test_stacked_cayley_rotation_equals_per_block_calls(dim, transpose):
+    # the cVPN builds all blocks' rotations in one stacked solve; each must be
+    # the rotation its own call gives, bit for bit
+    rng = np.random.default_rng(dim)
+    for blocks in range(1, 6):
+        skews = 0.5 * rng.standard_normal((blocks, dim * (dim - 1) // 2))
+        stacked = ad.cayley_rotation(skews, dim, transpose)
+        assert stacked.shape == (blocks, dim, dim)
+        for i in range(blocks):
+            alone = ad.cayley_rotation(skews[i], dim, transpose)
+            assert stacked[i].tobytes() == alone.tobytes(), (blocks, i)
+
+
+def test_skew_matrix_refuses_a_stack_of_the_wrong_length():
+    with pytest.raises(ContractError, match="length 3"):
+        ad.skew_matrix(np.zeros((2, 4)), 3)

@@ -108,13 +108,19 @@ def test_single_stage_needs_upstream(tmp_path):
 
 
 def test_stagewise_equals_run_all(tmp_path):
+    # run-all hands each stage the objects earlier stages returned, while a
+    # stage run on its own parses its inputs from disk: every file matches,
+    # the manifest too
     whole = tmp_path / "whole"
     steps = tmp_path / "steps"
     cfg = tiny_cfg()
     pipeline.run_pipeline(cfg, whole)
     for stage in pipeline.STAGES:
         pipeline.run_pipeline(cfg, steps, stages=[stage])
-    assert (whole / "metrics.csv").read_bytes() == (steps / "metrics.csv").read_bytes()
+    names = sorted(p.name for p in whole.iterdir())
+    assert sorted(p.name for p in steps.iterdir()) == names
+    for name in names:
+        assert (whole / name).read_bytes() == (steps / name).read_bytes(), name
 
 
 def test_csv_source_ingestion(tmp_path):

@@ -1,11 +1,14 @@
 """Per-stage cache keys: skip, recompute and refuse, and the sweep's reuse."""
 
+import copy
 import filecmp
+import json
 import multiprocessing
 import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from ncis import artifacts, invariant_training, pipeline
 from ncis.config import CSV_SOURCE_FIELDS, RunConfig, config_lines
 from ncis.errors import ArtifactError, ParseError, PipelineError, SamplingError
 
-from conftest import config_with
+from conftest import assert_same, config_with
 
 TINY = """
 seed = 5
@@ -179,6 +182,10 @@ def test_sweep_forked_and_inline_branches_agree(tmp_path, monkeypatch):
     (8, {"OMP_NUM_THREADS": "1"}, 3, 3),
     (4, {"OMP_NUM_THREADS": "zero"}, 4, 1),
     (1, {"OMP_NUM_THREADS": "1"}, 4, 1),
+    # str.isdigit() accepts superscripts, which int() refuses: malformed too
+    (4, {"OMP_NUM_THREADS": "²"}, 4, 1),
+    (4, {"OMP_NUM_THREADS": "1²"}, 4, 1),
+    (4, {"MKL_NUM_THREADS": "٣²"}, 4, 1),
 ])
 def test_sweep_workers_leave_room_for_blas_threads(monkeypatch, cpus, env, branches, workers):
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -279,6 +286,55 @@ def test_stage_bodies_read_only_declared_fields_and_inputs(tmp_path, monkeypatch
                 pipeline._load(dest, name)
             read |= recorder.read
         assert read == set(pipeline.STAGES[stage].fields), stage
+
+
+@pytest.mark.parametrize("extra", ["", "embed.source = toy-denoiser\nclassifier.beta = 0\n"],
+                         ids=["toy", "denoiser-beta0"])
+def test_reused_objects_equal_parsed_ones(tmp_path, extra):
+    # a run hands a stage the object an earlier stage returned in place of
+    # parsing its file, which is right only if saving and loading the object
+    # gives it back field for field
+    objects = {}
+    pipeline.run_pipeline(tiny_cfg(extra), tmp_path / "run", objects=objects)
+    assert sorted(name for name, _ in objects) == sorted(pipeline.FORMATS)
+    for (name, digest), obj in objects.items():
+        path = tmp_path / name
+        getattr(artifacts, f"save_{pipeline.FORMATS[name]}")(obj, path)
+        assert pipeline._file_digest(path) == digest, name
+        assert_same(getattr(artifacts, f"load_{pipeline.FORMATS[name]}")(path), obj, name)
+
+
+def test_stage_bodies_leave_their_inputs_unchanged(tmp_path):
+    # a run hands one object to every stage that reads its file, so a body
+    # that changed an input would corrupt later stages while the file on
+    # disk stayed right
+    out = tmp_path / "run"
+    objects = {}
+    pipeline.run_pipeline(tiny_cfg(), out, objects=objects)
+    records = json.loads((out / pipeline.MANIFEST_NAME).read_text())["stages"]
+    for stage, spec in pipeline.STAGES.items():
+        inputs = [objects[name, records[stage]["inputs"][name]] for name in spec.inputs]
+        before = copy.deepcopy(inputs)
+        spec.body(tiny_cfg(), *inputs)
+        assert_same(inputs, before, stage)
+
+
+def test_a_run_parses_only_files_it_does_not_hold(tmp_path, monkeypatch):
+    # a fresh run and an inline sweep parse nothing they wrote; a stage run
+    # on its own parses each input once
+    parsed = []
+    for attr in [a for a in vars(artifacts) if a.startswith("load_")]:
+        load = getattr(artifacts, attr)
+        monkeypatch.setattr(artifacts, attr,
+                            lambda path, load=load: parsed.append(Path(path).name) or load(path))
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: 1)
+    pipeline.run_pipeline(tiny_cfg(), tmp_path / "run")
+    pipeline.sweep_lambda(tiny_cfg(), tmp_path / "sweep")
+    assert parsed == []
+    for stage, spec in pipeline.STAGES.items():
+        pipeline.run_pipeline(tiny_cfg(), tmp_path / "steps", stages=[stage])
+        assert parsed == list(spec.inputs), stage
+        parsed.clear()
 
 
 def test_stage_table_shape():

@@ -1,0 +1,85 @@
+"""The training loops' preallocated step buffers: the same bits as a plain
+pass, and no per-step arrays of the batch's size."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ncis import cvpn, evalharness, invariant_training, mlp, ood_classifier
+from ncis.config import RunConfig
+
+
+def random_layers(rng, widths):
+    return [(rng.standard_normal((n_out, n_in)), rng.standard_normal(n_out))
+            for n_in, n_out in zip(widths, widths[1:])]
+
+
+@pytest.mark.parametrize("rows", [7, 5])
+def test_buffered_pass_equals_plain_pass(rows):
+    # buffers sized for 7 rows serve a full batch and a shorter last one
+    rng = np.random.default_rng(rows)
+    layers = random_layers(rng, [3, 16, 16, 2])
+    x = rng.standard_normal((rows, 3))
+    g = rng.standard_normal((rows, 2))
+    out = mlp.step_buffers(layers, 7)
+    passes = []
+    for buffers in (None, out):
+        y, inputs = mlp.tanh_mlp(layers, x, buffers)
+        grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+        g_in = mlp.tanh_mlp_backward(layers, inputs, g, grads, buffers)
+        passes.append([y.copy(), *(h.copy() for h in inputs), g_in.copy(),
+                       *(a.copy() for pair in grads for a in pair)])
+    plain, buffered = passes
+    assert len(plain) == len(buffered)
+    for a, b in zip(plain, buffered):
+        assert a.tobytes() == b.tobytes()
+
+
+class Stop(Exception):
+    pass
+
+
+def second_step_peak_kib(monkeypatch, module, train):
+    """How far one training step, after a warm-up step, raises the traced
+    peak above the memory held when it starts; a step ends with its Adam
+    update."""
+    adam_update = module.adam_update
+    marks = []
+
+    def marking(*args, **kwargs):
+        adam_update(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+        if marks:
+            marks.append(peak - marks[0])
+            raise Stop
+        marks.append(current)
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(module, "adam_update", marking)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            train()
+    finally:
+        tracemalloc.stop()
+    return marks[1] / 1024
+
+
+def test_training_steps_allocate_no_batch_sized_arrays(monkeypatch):
+    # at the default sizes a step's activations are 128 or 256 rows by the
+    # hidden width, 32-128 KiB each; the classifier step once raised the
+    # peak by ~700 KiB
+    cfg = RunConfig()
+    bench = evalharness.make_toy_benchmark(cfg.seed, cfg.benchmark_n_per_class)
+    model = cvpn.build_cvpn(bench.train.dim, 1, cfg.cvpn_num_blocks, bench.train.class_count,
+                            cfg.cvpn_hidden_width, cfg.seed)
+    outliers = bench.heldout.embeddings + 0.5
+    peaks = {
+        "cvpn": second_step_peak_kib(monkeypatch, invariant_training,
+                                     lambda: invariant_training.train_cvpn(model, bench.train, cfg)),
+        "classifier": second_step_peak_kib(
+            monkeypatch, ood_classifier,
+            lambda: ood_classifier.train_energy_classifier(bench.train, outliers, cfg)),
+    }
+    assert all(peak < 128 for peak in peaks.values()), peaks
