@@ -235,6 +235,11 @@ def load_bank(path) -> ClassGaussianBank:
     except NumericError as err:
         raise ArtifactError(f"{path}: {err}") from err
     logdens = [arrays[f"train_logdens{c}"] for c in range(class_count)]
+    for c, values in enumerate(logdens):
+        # the acceptance threshold reads its quantile off this order
+        if values.ndim != 1 or not values.size or np.any(values[1:] < values[:-1]):
+            raise ArtifactError(
+                f"{path}: array 'train_logdens{c}' must be a non-empty ascending vector")
     return ClassGaussianBank(lam, means, covs, chols, logdens)
 
 

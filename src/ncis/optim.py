@@ -35,15 +35,19 @@ def flatten_params(params):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for adaptive per-parameter scaling."""
+    """First/second moment accumulators for adaptive per-parameter scaling,
+    and two vectors of their size that ``adam_update`` writes its
+    intermediates into, so a step allocates no parameter-sized array."""
 
     first: np.ndarray
     second: np.ndarray
+    scratch: tuple
     step: int = 0
 
 
 def adam_init(flat) -> AdamState:
-    return AdamState(np.zeros_like(flat), np.zeros_like(flat))
+    return AdamState(np.zeros_like(flat), np.zeros_like(flat),
+                     (np.empty_like(flat), np.empty_like(flat)))
 
 
 def adam_update(flat, grad, state, learning_rate,
@@ -52,14 +56,22 @@ def adam_update(flat, grad, state, learning_rate,
 
     An entry whose gradient has always been exactly zero is left untouched
     (its moments stay zero), so parameters outside the gradient path never
-    drift.
+    drift.  The arithmetic is that of
+    ``m = beta1 * m + (1 - beta1) * grad``,
+    ``v = beta2 * v + (1 - beta2) * (grad * grad)`` and
+    ``flat -= learning_rate * (m / bc1) / (sqrt(v / bc2) + eps)``,
+    operation for operation.
     """
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
     m, v = state.first, state.second
+    a, b = state.scratch
     m *= beta1
-    m += (1.0 - beta1) * grad
+    m += np.multiply(grad, 1.0 - beta1, out=a)
     v *= beta2
-    v += (1.0 - beta2) * (grad * grad)
-    flat -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    np.multiply(grad, grad, out=a)
+    v += np.multiply(a, 1.0 - beta2, out=a)
+    np.multiply(np.divide(m, bc1, out=a), learning_rate, out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), eps, out=b)
+    flat -= np.divide(a, b, out=a)

@@ -55,13 +55,25 @@ class OutlierSet:
 
 
 def acceptance_threshold(bank, label, q) -> float:
-    """The q-quantile of the class's training log-densities."""
+    """The q-quantile of the class's training log-densities.
+
+    numpy's default ("linear") quantile rule, step for step, read off the
+    class's ascending array: ``np.quantile`` returns the same bits, but
+    imports ``numpy.ma`` on its way (numpy 2.x), which every sampling process
+    would pay for.
+    """
     if not 0.0 < q < 1.0:
         raise ContractError("q must lie in (0, 1)")
     lab = int(label)
     if not 0 <= lab < bank.class_count:
         raise ContractError(f"unknown class label {label!r}")
-    return float(np.quantile(bank.train_logdens[lab], q))
+    values = bank.train_logdens[lab]
+    n = len(values)
+    v = (n - 1) * q
+    lo = math.floor(v)
+    a, b = values[lo], values[min(lo + 1, n - 1)]
+    g = v - lo
+    return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
 
 
 def rejection_sample_invariant(bank, label, q, max_attempts, rng, threshold=None, n=1):

@@ -16,7 +16,9 @@ something it reads changes.
 One call parses each file at most once, and no file it wrote: every object
 ``_run_stage`` loads or saves is kept under the file's name and sha256 and
 handed to each later stage that reads a file with those bytes.  A sweep
-hands its shared stages' objects to every branch.  This is right because
+hands its shared stages' objects to every branch: it lists each branch with
+them in ``_branches``, and one function runs a branch by its index there,
+inline or in a forked worker, which inherits the list.  This is right because
 saving and loading an object gives it back field for field, and because no
 body changes its inputs; the test suite checks both.
 
@@ -435,22 +437,19 @@ def _sweep_workers(branches):
     return min(branches, max(1, cpus // blas))
 
 
-# in a forked sweep worker, the shared stages' objects it inherited from the
-# sweep that forked it (see ``_fork_pool``); empty in every other process
-_inherited = {}
+# the sweep's branches, each (cfg, directory, stages, shared objects), while
+# ``sweep_lambda`` runs them; a worker forked by it inherits the list (see
+# ``_fork_pool``), and the sweep empties it before returning.  One list per
+# process, so a process runs one sweep at a time.
+_branches = []
 
 
-def _inherit(shared):
-    _inherited.update(shared)
-
-
-def _fork_pool(workers, shared):
-    """A pool of ``workers`` forked processes, each holding ``shared`` in
-    ``_inherited``; None for fewer than two, or where fork is unavailable
-    or, as on macOS, unsafe.  Forked, not spawned: a spawned worker would
-    import numpy again before its first task, and the fork hands ``shared``
-    over unpickled.  Pickled with each task, the lambda-sweep benchmark's
-    shared objects (~80 KB) raised the sweep process's peak RSS by ~0.4 MiB."""
+def _fork_pool(workers):
+    """A pool of ``workers`` forked processes; None for fewer than two, or
+    where fork is unavailable or, as on macOS, unsafe.  Forked, not spawned:
+    a spawned worker would import numpy again before its first task, and
+    each forked worker inherits ``_branches`` unpickled, so a task is an
+    index into it."""
     if workers < 2 or sys.platform == "darwin":
         return None
     # imported here so that `import ncis` does not pay for them
@@ -458,19 +457,19 @@ def _fork_pool(workers, shared):
     from concurrent.futures import ProcessPoolExecutor
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_inherit, initargs=(shared,))
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _sweep_branch(cfg: RunConfig, sub_dir: Path, stages, shared):
-    """One value's branch of the sweep: run ``stages`` in ``sub_dir`` and read
-    back its sweep row.  ``shared`` holds the shared stages' objects (see
+def _sweep_branch(index):
+    """Branch ``index`` of ``_branches``: run its stages in its directory and
+    read back its sweep row.  Its shared objects are the shared stages' (see
     ``_load``); the branch adds its own to a copy, which ends with it.
 
     Returns ``(row, log lines, error)``.  When a stage fails, ``row`` is None
     and ``error`` is its ``NcisError``, so the caller can print the lines
     written before the failure and then raise it.
     """
+    cfg, sub_dir, stages, shared = _branches[index]
     lines = []
     objects = dict(shared)
     try:
@@ -481,11 +480,6 @@ def _sweep_branch(cfg: RunConfig, sub_dir: Path, stages, shared):
     except NcisError as err:
         return None, lines, err
     return (cfg.density_lambda, fpr, auc, acc, magnitude), lines, None
-
-
-def _forked_branch(cfg: RunConfig, sub_dir: Path, stages):
-    """``_sweep_branch`` in a forked worker, on the objects it inherited."""
-    return _sweep_branch(cfg, sub_dir, stages, _inherited)
 
 
 def _collect_rows(results, log):
@@ -513,15 +507,17 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     for byte that of a separate run at its value.  Every branch is handed
     the objects the shared stages wrote, so it parses none of their files.
 
-    The per-value branches (fit-density onward) are independent.  They run in
-    worker processes forked from this one, one per usable CPU left after
+    The per-value branches (fit-density onward) are independent.  The sweep
+    lists them in ``_branches`` and maps ``_sweep_branch`` over their indices:
+    in worker processes forked from this one, one per usable CPU left after
     BLAS threads and at most one per value (see ``_sweep_workers``), or
     inline when that leaves one worker or fork is unavailable or unsafe.  Each
     branch's log lines are passed to ``log`` when it finishes, in value
     order, so the lines and their order match a one-at-a-time sweep.  A
     failing value raises its ``PipelineError`` once every earlier value has
     finished; branches already started run to completion, but values still
-    waiting for a worker may not run.  No worker outlives the call.
+    waiting for a worker may not run.  No worker outlives the call, and
+    ``_branches`` is empty again when it returns or raises.
     """
     lambdas = list(lambdas)
     names = _sweep_dir_names(lambdas)
@@ -534,17 +530,16 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     for sub_dir in dirs[1:]:
         _copy_shared_stages(dirs[0], sub_dir)
     order = list(STAGES)
-    branches = [(cfgs[0], dirs[0], order[len(SWEEP_SHARED_STAGES):])]
-    branches += [(sub_cfg, sub_dir, order) for sub_cfg, sub_dir in zip(cfgs[1:], dirs[1:])]
-
-    pool = _fork_pool(_sweep_workers(len(branches)), shared)
-    if pool is None:
-        rows = _collect_rows((_sweep_branch(*branch, shared) for branch in branches), log)
-    else:
-        try:
-            futures = [pool.submit(_forked_branch, *branch) for branch in branches]
-            rows = _collect_rows((future.result() for future in futures), log)
-        finally:
+    stages = [order[len(SWEEP_SHARED_STAGES):]] + [order] * (len(dirs) - 1)
+    _branches[:] = zip(cfgs, dirs, stages, itertools.repeat(shared))
+    pool = None
+    try:
+        pool = _fork_pool(_sweep_workers(len(_branches)))
+        branch_map = map if pool is None else pool.map
+        rows = _collect_rows(branch_map(_sweep_branch, range(len(_branches))), log)
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
+        _branches.clear()
     artifacts.save_sweep_csv(rows, out_dir / "sweep_metrics.csv")
     return rows

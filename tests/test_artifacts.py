@@ -346,6 +346,21 @@ def test_bank_refuses_a_covariance_not_positive_definite_after_lam(toy_run, tmp_
         artifacts.load_bank(path)
 
 
+@pytest.mark.parametrize("edit", ["descending", "empty", "matrix"])
+def test_bank_refuses_train_logdens_not_an_ascending_vector(toy_run, tmp_path, edit):
+    # outlier_sampling.acceptance_threshold reads its quantile off this order
+    bank = toy_run.bank
+    logdens = list(bank.train_logdens)
+    logdens[1] = {"descending": logdens[1][::-1], "empty": logdens[1][:0],
+                  "matrix": logdens[1][:4].reshape(2, 2)}[edit]
+    path = tmp_path / "bank.txt"
+    artifacts.save_bank(density.ClassGaussianBank(bank.lam, bank.means, bank.covariances, None,
+                                                  logdens), path)
+    with pytest.raises(ArtifactError,
+                       match="bank.txt: array 'train_logdens1' must be a non-empty ascending vector"):
+        artifacts.load_bank(path)
+
+
 def test_scores_csv_round_trip(tmp_path):
     rows = [(0, "2", 0.5, -1.25), (1, "OOD", -3.0, 0.125)]
     path = tmp_path / "scores.csv"

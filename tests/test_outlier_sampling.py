@@ -1,6 +1,13 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import ncis
 from ncis import cvpn, density, outlier_sampling as osmp
 from ncis.errors import ContractError, SamplingError
 
@@ -73,6 +80,39 @@ def test_accepted_densities_below_threshold(toy_run):
         tau = osmp.acceptance_threshold(toy_run.bank, label, outs.q)
         lds = outs.log_densities[outs.labels == label]
         assert np.all(lds < tau)
+
+
+def test_threshold_equals_numpy_quantile():
+    # the linear rule read off the ascending array, bit for bit
+    rng = np.random.default_rng(0)
+    qs = [1e-6, 1e-3, 0.05, 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.95, 0.999999]
+    for n in [*range(1, 130), 499, 500, 1000, 4999, 5000]:
+        values = np.sort(rng.standard_normal(n) * 10.0 - 5.0)
+        bank = SimpleNamespace(train_logdens=[values], class_count=1)
+        for q in [*qs, *rng.uniform(0.0, 1.0, 4)]:
+            got = osmp.acceptance_threshold(bank, 0, float(q))
+            assert np.float64(got).tobytes() == np.quantile(values, q).tobytes(), (n, q)
+
+
+def test_a_run_imports_no_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma (numpy 2.x), ~10-20 ms in each process
+    # that samples, forked sweep workers included; numpy 1.x imports it with
+    # numpy itself, so only a module the run added counts
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy
+        before = "numpy.ma" in sys.modules
+        from ncis import RunConfig, run_pipeline
+        run_pipeline(RunConfig(benchmark_n_per_class=30, benchmark_ood_count=60,
+                               cvpn_train_iterations=10, sample_n_per_class=20,
+                               classifier_epochs=2), sys.argv[2])
+        assert before or "numpy.ma" not in sys.modules, "the run imported numpy.ma"
+    """)
+    package_root = Path(ncis.__file__).parent.parent
+    subprocess.run([sys.executable, "-I", "-c", code, str(package_root), str(tmp_path / "run")],
+                   check=True, timeout=300)
+    assert (tmp_path / "run" / "metrics.csv").exists()
 
 
 def test_exhausted_budget_raises_with_diagnostics(toy_run):

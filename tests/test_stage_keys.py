@@ -212,6 +212,26 @@ def test_failing_sweep_raises_what_the_first_value_alone_raises(tmp_path, monkey
     assert len(pipeline.sweep_lambda(tiny_cfg(), tmp_path / "fresh")) == len(pipeline.DEFAULT_SWEEP)
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_leaves_no_branch_state_behind(tmp_path, monkeypatch, workers, fails):
+    # the branch list is filled while the sweep runs, inline or forked, and
+    # emptied, with every worker gone, whether the sweep returns or raises
+    listed = []
+    monkeypatch.setattr(pipeline, "_sweep_workers",
+                        lambda branches: listed.append(len(pipeline._branches)) or workers)
+    cfg = tiny_cfg("sample.max_attempts = 1\n" if fails else "")
+    lambdas = (1e-6, 1e-5)
+    if fails:
+        with pytest.raises(PipelineError, match="^stage 'sample-outliers'"):
+            pipeline.sweep_lambda(cfg, tmp_path, lambdas)
+    else:
+        assert len(pipeline.sweep_lambda(cfg, tmp_path, lambdas)) == len(lambdas)
+    assert listed == [len(lambdas)]
+    assert pipeline._branches == []
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
 def test_sweep_raises_first_failure_in_list_order_after_started_branches(tmp_path, monkeypatch):
     # with two workers, 1e-6 waits in one while the other runs 1e-5 to the

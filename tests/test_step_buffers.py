@@ -8,6 +8,7 @@ import pytest
 
 from ncis import cvpn, evalharness, invariant_training, mlp, ood_classifier
 from ncis.config import RunConfig
+from ncis.optim import adam_init, adam_update, flatten_params
 
 
 def random_layers(rng, widths):
@@ -83,3 +84,27 @@ def test_training_steps_allocate_no_batch_sized_arrays(monkeypatch):
             lambda: ood_classifier.train_energy_classifier(bench.train, outliers, cfg)),
     }
     assert all(peak < 128 for peak in peaks.values()), peaks
+
+
+@pytest.mark.parametrize("model", ["cvpn", "classifier"])
+def test_adam_update_allocates_no_flat_sized_arrays(model):
+    # the flat vector is ~37 KiB at the default sizes; the update once held
+    # three temporaries of its size at a time, ~110 KiB
+    cfg = RunConfig()
+    if model == "cvpn":
+        params = cvpn.build_cvpn(2, 1, cfg.cvpn_num_blocks, 3, cfg.cvpn_hidden_width,
+                                 cfg.seed).params
+    else:
+        params = ood_classifier.build_energy_classifier(
+            2, 3, cfg.classifier_hidden_width, cfg.classifier_phi_hidden, seed=cfg.seed).params
+    flat = flatten_params(params)
+    grad = np.random.default_rng(0).standard_normal(flat.size)
+    state = adam_init(flat)
+    adam_update(flat, grad, state, 1e-3)
+    tracemalloc.start()
+    try:
+        adam_update(flat, grad, state, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024, (flat.nbytes, peak)
