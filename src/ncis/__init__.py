@@ -20,8 +20,8 @@ from .errors import (ArtifactError, ContractError, NcisError, NumericError,
                      ParseError, PipelineError, SamplingError)
 from .evalharness import ToyBenchmark, auroc, fpr_at_tpr, make_toy_benchmark
 from .invariant_training import invariant_loss, select_num_invariants, train_cvpn
-from .ood_classifier import (EnergyClassifier, build_energy_classifier, ood_scores,
-                             sample_energies, train_energy_classifier)
+from .ood_classifier import (EnergyClassifier, build_energy_classifier, score_rows,
+                             train_energy_classifier)
 from .outlier_sampling import OutlierSet, rejection_sample_invariant, synthesize_outliers
 from .pipeline import run_pipeline, sweep_lambda
 

@@ -25,6 +25,10 @@ from .config import RunConfig
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
 
+# the linear schedule's first and last per-step noise variances
+BETA_START = 1e-4
+BETA_END = 0.2
+
 
 @dataclass
 class NoiseSchedule:
@@ -48,11 +52,11 @@ class NoiseSchedule:
         return self.alpha_bar.size
 
     @classmethod
-    def linear(cls, timesteps=RunConfig.embed_timesteps, beta_start=1e-4, beta_end=0.2):
-        """Linear variance schedule; alpha_bar starts near 1 and ends small."""
+    def linear(cls, timesteps=RunConfig.embed_timesteps):
+        """Linear variance schedule from BETA_START to BETA_END; alpha_bar ends small."""
         if timesteps < 1:
             raise ContractError("timesteps must be at least 1")
-        betas = np.linspace(beta_start, beta_end, timesteps)
+        betas = np.linspace(BETA_START, BETA_END, timesteps)
         return cls(np.cumprod(1.0 - betas))
 
 

@@ -114,9 +114,6 @@ class ToyBenchmark:
     train: LabeledEmbeddingSet
     heldout: LabeledEmbeddingSet
     ood: np.ndarray
-    seed: int
-    noise: float
-    margin: float
 
 
 def _sample_class(rng, arc, count, noise):
@@ -169,4 +166,4 @@ def make_toy_benchmark(seed, n_per_class, noise=RunConfig.benchmark_noise,
         ood[filled:filled + take] = keep[:take]
         filled += take
 
-    return ToyBenchmark(train, heldout, ood, int(seed), float(noise), float(margin))
+    return ToyBenchmark(train, heldout, ood)

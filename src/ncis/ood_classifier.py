@@ -3,9 +3,11 @@
 The classifier is an MLP producing class logits.  Its energy is the negative
 log-sum-exp of the logits, and a small scalar-to-scalar MLP head maps the
 energy to an ID-vs-OOD logit; that composed value is the OOD score (larger
-means more in-distribution).  Training combines softmax cross-entropy on
-labeled ID embeddings with a regularization term that pushes the score up on
-ID batches and down on synthesized outlier batches.
+means more in-distribution).  :func:`score_rows` is the one inference pass:
+it gives each row's predicted label, energy and score together.  Training
+combines softmax cross-entropy on labeled ID embeddings with a
+regularization term that pushes the score up on ID batches and down on
+synthesized outlier batches.
 
 Training reads its seed and its ``classifier.*`` hyperparameters from the
 pipeline's ``RunConfig``, which checks their ranges when it is built.
@@ -14,6 +16,7 @@ pipeline's ``RunConfig``, which checks their ranges when it is built.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,40 +109,25 @@ def _ood_term(P, id_x, ood_x):
 # public interface
 # ---------------------------------------------------------------------------
 
-def _check_rows(clf, xs):
+Scored = namedtuple("Scored", "labels energies scores")
+
+
+def score_rows(clf, xs) -> Scored:
+    """Each row's predicted label (the arg-max class of its logits), energy
+    (the negative log-sum-exp of its logits) and score (the scoring head of
+    its energy; larger means more ID), from one pass over the rows of ``xs``.
+
+    Each row goes through its own matrix-vector products (a stack of 1-row
+    matmuls), so a row's results do not depend on the rows batched with it;
+    a plain (N, D) matmul would change the last bits with N.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != clf.dim:
         raise ContractError(f"expected shape (N, {clf.dim}), got {xs.shape}")
-    return xs
-
-
-def _row_logits(P, xs):
-    # Each row goes through its own matrix-vector products (a stack of 1-row
-    # matmuls), so a row's result does not depend on the rows batched with
-    # it; a plain (N, D) matmul would change the last bits with N.
-    logits, _ = tanh_mlp(_clf_layers(P), xs[:, None, :])
-    return logits
-
-
-def _row_energies(P, xs):
-    return _energy_of_logits(_row_logits(P, xs))
-
-
-def sample_energies(clf, xs) -> np.ndarray:
-    """The energy (negative log-sum-exp of the logits) of each row of ``xs``."""
-    return _row_energies(clf.params, _check_rows(clf, xs))[:, 0]
-
-
-def ood_scores(clf, xs) -> np.ndarray:
-    """The composed score head(energy(logits(x))) of each row; larger means more ID."""
-    energies = _row_energies(clf.params, _check_rows(clf, xs))
+    logits, _ = tanh_mlp(_clf_layers(clf.params), xs[:, None, :])
+    energies = _energy_of_logits(logits)
     scores, _ = tanh_mlp(_phi_layers(clf.params), energies[..., None])
-    return scores[:, 0, 0]
-
-
-def predict_labels(clf, xs) -> np.ndarray:
-    """The arg-max class of each row's logits, the same whatever the batch."""
-    return np.argmax(_row_logits(clf.params, _check_rows(clf, xs))[:, 0], axis=1)
+    return Scored(np.argmax(logits[:, 0], axis=1), energies[:, 0], scores[:, 0, 0])
 
 
 def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads, out=None):

@@ -51,7 +51,7 @@ import numpy as np
 from . import artifacts, cvpn, density, embedding, evalharness, invariant_training
 from . import ood_classifier, outlier_sampling
 from .config import CSV_SOURCE_FIELDS, KEY_TABLE, RunConfig, config_lines, namespace_fields
-from .errors import ArtifactError, NcisError, ParseError, PipelineError
+from .errors import ArtifactError, ContractError, NcisError, ParseError, PipelineError
 
 MANIFEST_NAME = "manifest.json"
 
@@ -129,8 +129,12 @@ def _embed_with_toy_denoiser(cfg: RunConfig, bench):
         for c in range(bench.train.class_count)])
     train = embedding.embed_dataset(bench.train.embeddings, bench.train.labels,
                                     anchors, denoiser, schedule, cfg)
+    # held-out and OOD items draw from streams of their own, apart from the
+    # train items' derive_item_seed(cfg.seed, i)
+    heldout_seeds = [embedding.derive_item_seed(cfg.seed, 2_000_000 + i)
+                     for i in range(len(bench.heldout))]
     heldout = embedding.embed_dataset(bench.heldout.embeddings, bench.heldout.labels,
-                                      anchors, denoiser, schedule, cfg)
+                                      anchors, denoiser, schedule, cfg, item_seeds=heldout_seeds)
     # test-time points carry no label; start them at the mean anchor
     ood_seeds = [embedding.derive_item_seed(cfg.seed, 1_000_000 + i) for i in range(len(bench.ood))]
     ood = embedding.embed_dataset(bench.ood, np.zeros(len(bench.ood), dtype=np.int64),
@@ -181,23 +185,24 @@ def stage_train_classifier(cfg: RunConfig, train, outliers):
 
 
 def stage_evaluate(cfg: RunConfig, clf, heldout, ood):
-    energies = [ood_classifier.sample_energies(clf, x) for x in (heldout.embeddings, ood)]
+    n = len(heldout)
+    if ood.shape[1] != heldout.dim:
+        raise ContractError(f"the OOD points have {ood.shape[1]} columns, "
+                            f"the held-out embeddings {heldout.dim}")
+    scored = ood_classifier.score_rows(clf, np.concatenate([heldout.embeddings, ood]))
     # beta = 0 trains a plain cross-entropy classifier whose scoring head is
     # never updated; fall back to the raw (negated) energy score there.
     if clf.beta > 0:
-        scores = [ood_classifier.ood_scores(clf, x) for x in (heldout.embeddings, ood)]
-        method = "ncis"
+        scores, method = scored.scores, "ncis"
     else:
-        scores = [-e for e in energies]
-        method = "energy"
-    samples = evalharness.scores_to_samples(*scores)
+        scores, method = -scored.energies, "energy"
+    samples = evalharness.scores_to_samples(scores[:n], scores[n:])
     fpr = evalharness.fpr_at_tpr(samples, 0.95)
     auc = evalharness.auroc(samples)
-    acc = evalharness.classification_accuracy(
-        ood_classifier.predict_labels(clf, heldout.embeddings), heldout.labels)
+    acc = evalharness.classification_accuracy(scored.labels[:n], heldout.labels)
     dataset = "toy" if cfg.embed_source != "csv" else "csv"
     tags = [str(int(label)) for label in heldout.labels] + ["OOD"] * len(ood)
-    rows = zip(itertools.count(), tags, np.concatenate(scores), np.concatenate(energies))
+    rows = zip(itertools.count(), tags, scores, scored.energies)
     return [(dataset, method, fpr, auc, acc)], list(rows)
 
 

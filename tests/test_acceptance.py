@@ -236,18 +236,16 @@ def test_criterion_07_end_to_end_detection():
     aurocs, fprs, gaps, accs = [], [], [], []
     for seed in (7, 8, 9):
         run = full_toy_run(seed)
-        ids = oc.ood_scores(run.clf_beta1, run.bench.heldout.embeddings)
-        oods = oc.ood_scores(run.clf_beta1, run.bench.ood)
-        samples = ev.scores_to_samples(ids, oods)
-        ids0 = -oc.sample_energies(run.clf_beta0, run.bench.heldout.embeddings)
-        oods0 = -oc.sample_energies(run.clf_beta0, run.bench.ood)
+        ids = oc.score_rows(run.clf_beta1, run.bench.heldout.embeddings)
+        oods = oc.score_rows(run.clf_beta1, run.bench.ood)
+        samples = ev.scores_to_samples(ids.scores, oods.scores)
+        ids0 = -oc.score_rows(run.clf_beta0, run.bench.heldout.embeddings).energies
+        oods0 = -oc.score_rows(run.clf_beta0, run.bench.ood).energies
         baseline = ev.auroc(ev.scores_to_samples(ids0, oods0))
         aurocs.append(ev.auroc(samples))
         fprs.append(ev.fpr_at_tpr(samples, 0.95))
         gaps.append(aurocs[-1] - baseline)
-        accs.append(ev.classification_accuracy(
-            oc.predict_labels(run.clf_beta1, run.bench.heldout.embeddings),
-            run.bench.heldout.labels))
+        accs.append(ev.classification_accuracy(ids.labels, run.bench.heldout.labels))
     assert np.median(aurocs) >= 0.95
     assert np.median(fprs) <= 0.30
     assert np.median(gaps) >= 0.05

@@ -78,8 +78,8 @@ def test_classifier_round_trip(toy_run, tmp_path):
     artifacts.save_classifier(toy_run.clf_beta1, path)
     loaded = artifacts.load_classifier(path)
     xs = np.random.default_rng(1).uniform(-2, 2, (20, 2))
-    assert np.array_equal(ood_classifier.ood_scores(loaded, xs),
-                          ood_classifier.ood_scores(toy_run.clf_beta1, xs))
+    assert np.array_equal(ood_classifier.score_rows(loaded, xs).scores,
+                          ood_classifier.score_rows(toy_run.clf_beta1, xs).scores)
 
 
 def test_embeddings_csv_round_trip(toy_bench, tmp_path):

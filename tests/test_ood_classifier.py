@@ -72,14 +72,14 @@ def test_ood_loss_saturated_limit():
     clf.params["clf.b2"] = np.zeros(1)
     clf.params["clf.w3"] = np.array([[10.0], [0.0]])
     clf.params["clf.b3"] = np.zeros(2)
-    e_id, e_ood = oc.sample_energies(clf, np.array([[1.0], [-1.0]]))
+    e_id, e_ood = oc.score_rows(clf, np.array([[1.0], [-1.0]])).energies
     mid = 0.5 * (e_id + e_ood)
     half = 0.5 * (e_ood - e_id)
     clf.params["phi.w1"] = np.array([[1.0]])
     clf.params["phi.b1"] = np.array([-mid])
     clf.params["phi.w2"] = np.array([[-50.0 / math.tanh(half)]])
     clf.params["phi.b2"] = np.zeros(())
-    u_id, u_ood = oc.ood_scores(clf, np.array([[1.0], [-1.0]]))
+    u_id, u_ood = oc.score_rows(clf, np.array([[1.0], [-1.0]])).scores
     assert u_id == pytest.approx(50.0, abs=1e-9)
     assert u_ood == pytest.approx(-50.0, abs=1e-9)
     _, separation, _ = fused_terms(clf, [[1.0]], [0], [[-1.0]])
@@ -96,8 +96,8 @@ def test_ood_loss_matches_per_sample_oracle(toy_run):
     def softplus(v):
         return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
 
-    id_part = np.mean([softplus(-oc.ood_scores(clf, x[None])[0]) for x in id_batch])
-    ood_part = np.mean([softplus(oc.ood_scores(clf, x[None])[0]) for x in ood_batch])
+    id_part = np.mean([softplus(-oc.score_rows(clf, x[None]).scores[0]) for x in id_batch])
+    ood_part = np.mean([softplus(oc.score_rows(clf, x[None]).scores[0]) for x in ood_batch])
     assert got == pytest.approx(id_part + ood_part, abs=1e-12)
 
 
@@ -140,35 +140,36 @@ def test_total_loss_additivity(toy_run):
 def test_score_zero_at_init():
     clf = oc.build_energy_classifier(2, 3, seed=3)
     rng = np.random.default_rng(6)
-    assert np.array_equal(oc.ood_scores(clf, rng.standard_normal((10, 2))), np.zeros(10))
+    assert np.array_equal(oc.score_rows(clf, rng.standard_normal((10, 2))).scores, np.zeros(10))
 
 
 def test_score_batch_context_invariant(toy_run):
     rng = np.random.default_rng(7)
     xs = rng.uniform(-2, 2, (5, 2))
-    solo = [oc.ood_scores(toy_run.clf_beta1, x[None])[0] for x in xs]
-    batch = oc.ood_scores(toy_run.clf_beta1, xs)
-    assert np.array_equal(np.array(solo), batch)
+    solo = [oc.score_rows(toy_run.clf_beta1, x[None]) for x in xs]
+    batch = oc.score_rows(toy_run.clf_beta1, xs)
+    for field in batch._fields:
+        assert np.array_equal([getattr(s, field)[0] for s in solo], getattr(batch, field)), field
 
 
 def test_predict_labels_batch_context_invariant(toy_run):
     xs = toy_run.bench.heldout.embeddings
-    solo = [oc.predict_labels(toy_run.clf_beta1, x[None])[0] for x in xs]
-    assert np.array_equal(np.array(solo), oc.predict_labels(toy_run.clf_beta1, xs))
-    logits = oc._row_logits(toy_run.clf_beta1.params, xs)
-    for i in (0, len(xs) // 2, len(xs) - 1):
-        assert np.array_equal(oc._row_logits(toy_run.clf_beta1.params, xs[i:i + 1]), logits[i:i + 1])
+    batch = oc.score_rows(toy_run.clf_beta1, xs)
+    for i in range(len(xs)):
+        solo = oc.score_rows(toy_run.clf_beta1, xs[i:i + 1])
+        for field in batch._fields:
+            assert getattr(solo, field)[0] == getattr(batch, field)[i], (i, field)
 
 
 def test_trained_scores_separate_id_from_outliers(toy_run):
-    id_scores = oc.ood_scores(toy_run.clf_beta1, toy_run.bench.heldout.embeddings)
-    out_scores = oc.ood_scores(toy_run.clf_beta1, toy_run.outliers.embeddings)
+    id_scores = oc.score_rows(toy_run.clf_beta1, toy_run.bench.heldout.embeddings).scores
+    out_scores = oc.score_rows(toy_run.clf_beta1, toy_run.outliers.embeddings).scores
     assert np.median(id_scores) > np.median(out_scores)
 
 
 def test_score_dimension_checked(toy_run):
     with pytest.raises(ContractError):
-        oc.ood_scores(toy_run.clf_beta1, np.zeros((1, 3)))
+        oc.score_rows(toy_run.clf_beta1, np.zeros((1, 3)))
 
 
 # training ------------------------------------------------------------------
@@ -207,7 +208,7 @@ def test_training_deterministic(toy_bench, toy_run):
 
 
 def test_heldout_accuracy(toy_run):
-    pred = oc.predict_labels(toy_run.clf_beta1, toy_run.bench.heldout.embeddings)
+    pred = oc.score_rows(toy_run.clf_beta1, toy_run.bench.heldout.embeddings).labels
     assert np.mean(pred == toy_run.bench.heldout.labels) >= 0.9
 
 

@@ -1,12 +1,14 @@
+import itertools
 import shutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ncis import artifacts, cli, cvpn, mlp, pipeline
+from ncis import artifacts, cli, cvpn, embedding, mlp, ood_classifier, pipeline
 from ncis import autodiff as ad
-from ncis.errors import ArtifactError
+from ncis.config import RunConfig
+from ncis.errors import ArtifactError, NcisError
 
 from conftest import config_with
 
@@ -143,6 +145,38 @@ def test_beta_zero_reports_energy_method(tmp_path):
     assert rows[0][1] == "energy"
 
 
+@pytest.mark.parametrize("beta", [0, 1])
+def test_evaluate_runs_the_classifier_once(toy_run, monkeypatch, beta):
+    # one pass through the classifier and one through the scoring head, over
+    # the held-out and OOD rows together
+    calls = []
+    tanh_mlp = ood_classifier.tanh_mlp
+
+    def count(*args, **kwargs):
+        calls.append(len(args[1]))
+        return tanh_mlp(*args, **kwargs)
+
+    monkeypatch.setattr(ood_classifier, "tanh_mlp", count)
+    clf = toy_run.clf_beta1 if beta else toy_run.clf_beta0
+    metrics, rows = pipeline.stage_evaluate(RunConfig(), clf, toy_run.bench.heldout,
+                                            toy_run.bench.ood)
+    assert calls == [len(rows)] * 2
+    assert metrics[0][1] == ("ncis" if beta else "energy")
+
+
+def test_evaluate_refuses_ood_points_of_another_width(tmp_path):
+    src = tmp_path / "src"
+    pipeline.run_pipeline(tiny_cfg(), src, stages=["embed"])
+    artifacts.save_points_csv(np.zeros((5, 3)), tmp_path / "ood3.csv")
+    extra = (f"embed.source = csv\n"
+             f"data.train_csv = {src / 'embeddings_train.csv'}\n"
+             f"data.heldout_csv = {src / 'embeddings_heldout.csv'}\n"
+             f"data.ood_csv = {tmp_path / 'ood3.csv'}\n"
+             "cvpn.train_iterations = 20\nclassifier.epochs = 2\n")
+    with pytest.raises(NcisError, match="stage 'evaluate'"):
+        pipeline.run_pipeline(tiny_cfg(extra), tmp_path / "run")
+
+
 def test_toy_denoiser_source_smoke(tmp_path):
     cfg = tiny_cfg("embed.source = toy-denoiser\nbenchmark.n_per_class = 15\n"
                    "benchmark.ood_count = 30\n")
@@ -164,6 +198,28 @@ def test_toy_denoiser_zero_iterations_writes_the_anchors(tmp_path):
     assert len(np.unique(train.embeddings, axis=0)) <= train.class_count
     ood = artifacts.load_points_csv(out / "ood_test.csv")
     assert len(np.unique(ood, axis=0)) == 1
+
+
+def test_toy_denoiser_gives_each_set_its_own_noise_streams(tmp_path, monkeypatch):
+    # train, held-out and OOD items draw their (timestep, noise) batches from
+    # seeds that no item of another set shares
+    cfg = tiny_cfg("embed.source = toy-denoiser\nbenchmark.n_per_class = 15\n"
+                   "benchmark.ood_count = 30\nembed.iterations = 1\n")
+    seeds = []
+    embed_dataset = embedding.embed_dataset
+
+    def record(samples, labels, anchors, denoiser, schedule, run_cfg, item_seeds=None):
+        if item_seeds is None:
+            seeds.append({embedding.derive_item_seed(run_cfg.seed, i) for i in range(len(samples))})
+        else:
+            seeds.append(set(item_seeds))
+        return embed_dataset(samples, labels, anchors, denoiser, schedule, run_cfg, item_seeds)
+
+    monkeypatch.setattr(embedding, "embed_dataset", record)
+    pipeline.run_pipeline(cfg, tmp_path / "run", stages=["embed"])
+    assert [len(s) for s in seeds] == [45, 45, 30]
+    for a, b in itertools.combinations(seeds, 2):
+        assert not a & b
 
 
 def test_sweep_lambda_magnitudes_non_decreasing(tmp_path):
