@@ -7,10 +7,9 @@ low-likelihood outliers and map them back, then train an energy-regularized
 classifier whose learned scoring head separates ID from OOD.
 """
 
-from .autodiff import eval_and_grad, finite_diff_grad
 from .config import RunConfig, load_config, parse_config
 from .cvpn import (CvpnModel, build_cvpn, cvpn_forward_batch, cvpn_inverse_batch,
-                   invariants_batch, jacobian_det_fd)
+                   invariants_batch)
 from .data import LabeledEmbeddingSet
 from .density import (ClassGaussianBank, fit_class_gaussians, log_density_e_batch,
                       log_density_v_batch)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError
-from .mlp import tanh_mlp, tape_tanh_mlp
+from .mlp import tanh_mlp
 
 
 def ceil_half(dim: int) -> int:
@@ -79,33 +79,6 @@ def translation_layers(P, block):
     """The ``(W, b)`` layers of one block's translation net, input to output."""
     base = f"block{block}.t_"
     return [(P[f"{base}w{j}"], P[f"{base}b{j}"]) for j in (1, 2, 3)]
-
-
-# ---------------------------------------------------------------------------
-# tape reference: the forward map in autodiff operations
-# ---------------------------------------------------------------------------
-
-def coupling_shift(x, translation, split):
-    """Shift the first ``split`` coordinates by ``translation``; keep the rest."""
-    head = ad.narrow(x, 0, split)
-    rest = ad.narrow(x, split, ad.value_of(x).shape[-1])
-    return ad.concat(ad.add(head, translation), rest)
-
-
-def _coupling(model, P, block, x, labels):
-    d = ceil_half(model.dim)
-    rest = ad.narrow(x, d, model.dim)
-    rows = ad.embed_rows(P["class_embed"], labels)
-    t = tape_tanh_mlp(translation_layers(P, block), ad.concat(rest, rows))
-    return coupling_shift(x, t, d)
-
-
-def apply_blocks(model, P, x, labels):
-    """The forward map on tape nodes, the reference for its hand-written gradient."""
-    for i in range(model.num_blocks):
-        x = ad.cayley_matvec(P[f"block{i}.orth_skew"], x)
-        x = _coupling(model, P, i, x, labels)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +138,3 @@ def cvpn_inverse_batch(model, vs, labels):
 def invariants_batch(model, xs, labels):
     """First ``num_invariants`` coordinates of the forward map of each row."""
     return cvpn_forward_batch(model, xs, labels)[:, : model.num_invariants]
-
-
-MAX_FD_JACOBIAN_DIM = 16
-
-
-def jacobian_det_fd(model, e, label, h=1e-5):
-    """Determinant of the central-difference Jacobian of the forward map at ``e``.
-
-    The 2·D probe rows ``e ± h·I`` go through one forward call.  Dense finite
-    differencing only; refuses dimensions above ``MAX_FD_JACOBIAN_DIM``.
-    """
-    if model.dim > MAX_FD_JACOBIAN_DIM:
-        raise ContractError(
-            f"finite-difference Jacobian limited to dim <= {MAX_FD_JACOBIAN_DIM}")
-    e, labels = _check_batch(model, np.reshape(e, (1, -1)), [label])
-    step = h * np.eye(model.dim)
-    out = cvpn_forward_batch(model, np.concatenate([e + step, e - step]),
-                             np.repeat(labels, 2 * model.dim))
-    jac = (out[:model.dim] - out[model.dim:]).T / (2.0 * h)
-    return float(np.linalg.det(jac))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import RunConfig
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
@@ -94,8 +93,8 @@ class LinearToyDenoiser(Denoiser):
 
     The expected loss is quadratic in the embedding with the closed-form
     minimizer ``A^-1 * mean_t(sqrt(alpha_bar_t)) * x0``, which makes the
-    embedding loop verifiable end to end.  ``predict`` is the same model on
-    the autodiff tape, the reference ``loss_and_grad`` is tested against.
+    embedding loop verifiable end to end.  ``loss_and_grad`` is tested against
+    the same model on the test suite's autodiff tape (``tests/tape.py``).
     """
 
     def __init__(self, matrix):
@@ -104,9 +103,6 @@ class LinearToyDenoiser(Denoiser):
             raise ContractError("matrix must be square")
         if abs(np.linalg.det(self.matrix)) < 1e-12:
             raise ContractError("matrix must be full-rank")
-
-    def predict(self, noisy, t, embedding):
-        return ad.sub(noisy, ad.matvec(self.matrix, embedding))
 
     def loss_and_grad(self, noisy, eps, embeddings):
         # r = eps - (noisy - A e): loss sum(r^2) / B, gradient A^T sum_b 2 r / B;

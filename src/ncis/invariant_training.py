@@ -74,9 +74,10 @@ def invariant_loss_and_grad(model, x, labels, grads, out=None) -> float:
     """Batch loss ``sum(y[:, :k] ** 2) / B`` of ``y = cvpn.cvpn_forward_batch`` and its gradient.
 
     A hand-written reverse pass over the blocks the forward call saved, checked
-    against the tape reference ``cvpn.apply_blocks`` in the test suite.  Each
-    gradient of ``model.params[name]`` is written into ``grads[name]``.
-    ``out`` holds one ``mlp.step_buffers`` per block's translation net.
+    against the forward map on the test suite's autodiff tape (``apply_blocks``
+    in ``tests/tape.py``).  Each gradient of ``model.params[name]`` is written
+    into ``grads[name]``.  ``out`` holds one ``mlp.step_buffers`` per block's
+    translation net.
     """
     saved = []
     x = cvpn.cvpn_forward_batch(model, x, labels, saved, out)

@@ -1,12 +1,11 @@
 """The tanh MLP shared by the coupling translation net, the classifier and
-the scoring head: a plain forward pass, its hand-written backward pass, and
-the same forward pass written in autodiff operations.
+the scoring head: a plain forward pass and its hand-written backward pass.
 
 A network is a list of ``(W, b)`` layers: every layer but the last is
-``tanh(h @ W.T + b)`` and the last is linear.  :func:`tape_tanh_mlp` runs the
-same operations in the same order as :func:`tanh_mlp`, so the tape's forward
-values agree with the plain pass bit for bit; the tape is the reference the
-hand-written backward pass is checked against.
+``tanh(h @ W.T + b)`` and the last is linear.  The test suite's autodiff
+tape (``tests/tape.py``) runs the same operations in the same order, so its
+forward values agree with the plain pass bit for bit; it is the reference
+the hand-written backward pass is checked against.
 
 A training loop calls the pair once per step, on batches of at most a
 fixed number of rows.  It allocates the step's arrays once, with :func:`step_buffers`, and
@@ -21,8 +20,6 @@ glibc's default 128 KiB mmap threshold.
 from __future__ import annotations
 
 import numpy as np
-
-from . import autodiff as ad
 
 
 def step_buffers(layers, rows):
@@ -58,17 +55,6 @@ def tanh_mlp(layers, x, out=None):
         if i < last:
             np.tanh(h, out=h)
     return h, inputs
-
-
-def tape_tanh_mlp(layers, x):
-    """:func:`tanh_mlp`'s forward pass for a batch ``(N, n_in)`` in autodiff
-    operations: plain arrays in give plain arrays out, tape nodes give a tape."""
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        x = ad.add(ad.matvec(w, x), b)
-        if i < last:
-            x = ad.tanh(x)
-    return x
 
 
 def tanh_mlp_backward(layers, inputs, g, grads, out=None):

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .config import RunConfig
 from .data import LabeledEmbeddingSet
 from .errors import ContractError, NumericError
-from .mlp import step_buffers, tanh_mlp, tanh_mlp_backward, tape_tanh_mlp
+from .mlp import step_buffers, tanh_mlp, tanh_mlp_backward
 from .optim import adam_init, adam_update, flatten_params, views_like
 
 
@@ -71,7 +71,7 @@ def build_energy_classifier(dim, class_count, hidden_width=RunConfig.classifier_
 
 
 # ---------------------------------------------------------------------------
-# forward pieces (array or tape)
+# network layers
 # ---------------------------------------------------------------------------
 
 def _clf_layers(P):
@@ -83,26 +83,7 @@ def _phi_layers(P):
 
 
 def _energy_of_logits(logits):
-    return ad.neg(ad.logsumexp(logits))
-
-
-def _score(P, x):
-    energy = _energy_of_logits(tape_tanh_mlp(_clf_layers(P), x))
-    return ad.squeeze_last(tape_tanh_mlp(_phi_layers(P), ad.expand_last(energy)))
-
-
-def _ce_term(P, x, labels):
-    logits = tape_tanh_mlp(_clf_layers(P), x)
-    per_sample = ad.sub(ad.logsumexp(logits), ad.pick(logits, labels))
-    return ad.mean(per_sample)
-
-
-def _ood_term(P, id_x, ood_x):
-    u_id = _score(P, id_x)
-    u_ood = _score(P, ood_x)
-    id_part = ad.mean(ad.neg(ad.log_sigmoid(u_id)))
-    ood_part = ad.mean(ad.neg(ad.log_sigmoid(ad.neg(u_ood))))
-    return ad.add(ood_part, id_part)
+    return -ad.logsumexp(logits)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +115,11 @@ def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads, out=None):
     """One training step's ``(ce, separation)`` terms and the gradient of
     ``ce + beta * separation``.
 
-    ``ce`` is ``_ce_term`` and ``separation`` is ``_ood_term``; a hand-written
-    reverse pass, checked against the tape in the test suite.  The ID and
-    outlier rows share one pass through the classifier.  With ``beta == 0``
-    the separation term is not computed (it reads 0.0) and the scoring head's
-    gradients are exactly zero.  The gradient of each ``P[name]`` is written
+    A hand-written reverse pass, checked against the same terms on the test
+    suite's autodiff tape (``ce_term`` and ``ood_term`` in ``tests/tape.py``).
+    The ID and outlier rows share one pass through the classifier.  With
+    ``beta == 0`` the separation term is not computed (it reads 0.0) and the
+    scoring head's gradients are exactly zero.  The gradient of each ``P[name]`` is written
     into ``grads[name]``, an array of the same shape.  ``out`` holds the
     ``mlp.step_buffers`` of the classifier and of the scoring head.
     """

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ncis import artifacts, autodiff as ad, cvpn, density, embedding as emb
+from ncis import artifacts, cvpn, density, embedding as emb
 from ncis import evalharness as ev
 from ncis import invariant_training as it
 from ncis import ood_classifier as oc
@@ -20,6 +20,7 @@ from ncis.config import RunConfig, parse_config
 from ncis.data import LabeledEmbeddingSet
 
 from conftest import full_toy_run, rel_err
+import tape
 
 
 def _report(number, name, detail, started):
@@ -80,7 +81,7 @@ def test_criterion_02_unimodularity():
         for _ in range(100):
             e = rng.uniform(-3, 3, dim)
             label = int(rng.integers(0, model.class_count))
-            det = cvpn.jacobian_det_fd(model, e, label)
+            det = tape.jacobian_det_fd(model, e, label)
             worst = max(worst, abs(det - 1.0))
     assert worst < 1e-4
     _report(2, "unimodularity", f"max |det J - 1| {worst:.3e}", started)
@@ -97,8 +98,8 @@ def _grad_config_cvpn(rng):
     labels = rng.integers(0, model.class_count, 5)
 
     def loss(P):
-        out = cvpn.apply_blocks(model, P, xs, labels)
-        return ad.mul(ad.sumsq(ad.narrow(out, 0, model.num_invariants)), 0.2)
+        out = tape.apply_blocks(model, P, xs, labels)
+        return tape.mul(tape.sumsq(tape.narrow(out, 0, model.num_invariants)), 0.2)
 
     return model.params, loss
 
@@ -117,8 +118,8 @@ def _grad_config_classifier(rng):
     beta = clf.beta
 
     def loss(P):
-        ce = oc._ce_term(P, id_x, id_y)
-        return ad.add(ce, ad.mul(oc._ood_term(P, id_x, ood_x), beta))
+        ce = tape.ce_term(P, id_x, id_y)
+        return tape.add(ce, tape.mul(tape.ood_term(P, id_x, ood_x), beta))
 
     return clf.params, loss
 
@@ -134,7 +135,7 @@ def _grad_config_embedding(rng):
     noisy = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
 
     def loss(P):
-        return ad.mul(ad.sumsq(ad.sub(eps, den.predict(noisy, ts, P["e"]))), 0.125)
+        return tape.mul(tape.sumsq(tape.sub(eps, tape.predict(den, noisy, ts, P["e"]))), 0.125)
 
     return {"e": rng.standard_normal(dim)}, loss
 
@@ -146,8 +147,8 @@ def test_criterion_03_gradient_suite():
     for i, maker in enumerate(makers):
         rng = np.random.default_rng(300 + i)
         params, loss = maker(rng)
-        _, grads = ad.eval_and_grad(loss, params)
-        fd = ad.finite_diff_grad_params(lambda P: float(loss(P)), params)
+        _, grads = tape.eval_and_grad(loss, params)
+        fd = tape.finite_diff_grad_params(lambda P: float(loss(P)), params)
         for name in params:
             if np.linalg.norm(fd[name]) < 1e-9:
                 assert np.linalg.norm(grads[name]) < 1e-9

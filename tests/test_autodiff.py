@@ -1,3 +1,6 @@
+"""The plain primitives of ``ncis.autodiff``, and the tape (``tape.py``)
+built on them, each of its operations against finite differences."""
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,16 +9,17 @@ from ncis import autodiff as ad
 from ncis.errors import ContractError, NumericError
 
 from conftest import rel_err
+import tape
 
 
 def test_square_value_and_grad():
-    val, g = ad.eval_and_grad(lambda P: ad.sumsq(P["x"]), {"x": np.array([3.0])})
+    val, g = tape.eval_and_grad(lambda P: tape.sumsq(P["x"]), {"x": np.array([3.0])})
     assert val == 9.0
     assert g["x"][0] == 6.0
 
 
 def test_tanh_grad_at_zero():
-    val, g = ad.eval_and_grad(lambda P: ad.vsum(ad.tanh(P["x"])), {"x": np.array([0.0])})
+    val, g = tape.eval_and_grad(lambda P: tape.vsum(tape.tanh(P["x"])), {"x": np.array([0.0])})
     assert val == 0.0
     assert g["x"][0] == 1.0
 
@@ -25,27 +29,27 @@ def test_matvec_norm_grad_matches_fd():
     params = {"w": rng.standard_normal((3, 3)), "x": rng.standard_normal(3)}
 
     def f(P):
-        return ad.sumsq(ad.matvec(P["w"], P["x"]))
+        return tape.sumsq(tape.matvec(P["w"], P["x"]))
 
-    _, g = ad.eval_and_grad(f, params)
-    fd = ad.finite_diff_grad_params(lambda P: float(f(P)), params)
+    _, g = tape.eval_and_grad(f, params)
+    fd = tape.finite_diff_grad_params(lambda P: float(f(P)), params)
     for name in params:
         assert rel_err(g[name], fd[name]) < 1e-5
 
 
 def test_finite_diff_cube():
-    grad = ad.finite_diff_grad(lambda x: float(x[0] ** 3), np.array([2.0]), h=1e-4)
+    grad = tape.finite_diff_grad(lambda x: float(x[0] ** 3), np.array([2.0]), h=1e-4)
     assert abs(grad[0] - 12.0) < 1e-6
 
 
 def test_finite_diff_constant_is_zero():
-    grad = ad.finite_diff_grad(lambda x: 4.25, np.array([1.0, -2.0, 0.5]))
+    grad = tape.finite_diff_grad(lambda x: 4.25, np.array([1.0, -2.0, 0.5]))
     assert np.array_equal(grad, np.zeros(3))
 
 
 def test_finite_diff_nonfinite_raises():
     with pytest.raises(NumericError):
-        ad.finite_diff_grad(lambda x: float("nan"), np.array([1.0]))
+        tape.finite_diff_grad(lambda x: float("nan"), np.array([1.0]))
 
 
 # every primitive against central finite differences -----------------------
@@ -55,33 +59,33 @@ def _primitive_cases(rng):
     batch = rng.standard_normal((3, 4))
     return {
         "add": ({"a": rng.standard_normal(4), "b": rng.standard_normal(4)},
-                lambda P: ad.sumsq(ad.add(P["a"], P["b"]))),
+                lambda P: tape.sumsq(tape.add(P["a"], P["b"]))),
         "add_broadcast": ({"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)},
-                          lambda P: ad.sumsq(ad.add(P["a"], P["b"]))),
+                          lambda P: tape.sumsq(tape.add(P["a"], P["b"]))),
         "mul": ({"a": rng.standard_normal(4), "b": rng.standard_normal(4)},
-                lambda P: ad.sumsq(ad.mul(P["a"], P["b"]))),
+                lambda P: tape.sumsq(tape.mul(P["a"], P["b"]))),
         "matvec": ({"w": rng.standard_normal((3, 4)), "x": rng.standard_normal(4)},
-                   lambda P: ad.sumsq(ad.matvec(P["w"], P["x"]))),
+                   lambda P: tape.sumsq(tape.matvec(P["w"], P["x"]))),
         "matvec_batch": ({"w": rng.standard_normal((3, 4)), "x": rng.standard_normal((6, 4))},
-                         lambda P: ad.sumsq(ad.matvec(P["w"], P["x"]))),
-        "tanh": ({"x": x}, lambda P: ad.sumsq(ad.tanh(P["x"]))),
+                         lambda P: tape.sumsq(tape.matvec(P["w"], P["x"]))),
+        "tanh": ({"x": x}, lambda P: tape.sumsq(tape.tanh(P["x"]))),
         "log_sigmoid": ({"x": 3.0 * rng.standard_normal(5)},
-                        lambda P: ad.sumsq(ad.log_sigmoid(P["x"]))),
-        "logsumexp": ({"x": rng.standard_normal(5)}, lambda P: ad.logsumexp(P["x"])),
-        "logsumexp_batch": ({"x": batch}, lambda P: ad.vsum(ad.logsumexp(P["x"]))),
-        "sumsq": ({"x": batch}, lambda P: ad.sumsq(P["x"])),
-        "vsum": ({"x": batch}, lambda P: ad.sumsq(ad.mul(ad.vsum(P["x"]), 0.5))),
+                        lambda P: tape.sumsq(tape.log_sigmoid(P["x"]))),
+        "logsumexp": ({"x": rng.standard_normal(5)}, lambda P: tape.logsumexp(P["x"])),
+        "logsumexp_batch": ({"x": batch}, lambda P: tape.vsum(tape.logsumexp(P["x"]))),
+        "sumsq": ({"x": batch}, lambda P: tape.sumsq(P["x"])),
+        "vsum": ({"x": batch}, lambda P: tape.sumsq(tape.mul(tape.vsum(P["x"]), 0.5))),
         "pick": ({"x": rng.standard_normal((3, 4))},
-                 lambda P: ad.vsum(ad.pick(P["x"], np.array([1, 0, 3])))),
-        "narrow": ({"x": batch}, lambda P: ad.sumsq(ad.narrow(P["x"], 1, 3))),
+                 lambda P: tape.vsum(tape.pick(P["x"], np.array([1, 0, 3])))),
+        "narrow": ({"x": batch}, lambda P: tape.sumsq(tape.narrow(P["x"], 1, 3))),
         "concat": ({"a": rng.standard_normal((3, 2)), "b": rng.standard_normal((3, 3))},
-                   lambda P: ad.sumsq(ad.concat(P["a"], P["b"]))),
+                   lambda P: tape.sumsq(tape.concat(P["a"], P["b"]))),
         "expand_squeeze": ({"x": rng.standard_normal(4)},
-                           lambda P: ad.sumsq(ad.squeeze_last(ad.expand_last(P["x"])))),
+                           lambda P: tape.sumsq(tape.squeeze_last(tape.expand_last(P["x"])))),
         "embed_rows": ({"t": rng.standard_normal((4, 3))},
-                       lambda P: ad.sumsq(ad.embed_rows(P["t"], np.array([0, 2, 2, 1])))),
+                       lambda P: tape.sumsq(tape.embed_rows(P["t"], np.array([0, 2, 2, 1])))),
         "cayley": ({"s": 0.7 * rng.standard_normal(6), "x": rng.standard_normal((3, 4))},
-                   lambda P: ad.sumsq(ad.narrow(ad.cayley_matvec(P["s"], P["x"]), 0, 2))),
+                   lambda P: tape.sumsq(tape.narrow(tape.cayley_matvec(P["s"], P["x"]), 0, 2))),
     }
 
 
@@ -91,8 +95,8 @@ def test_primitive_grads_match_fd_100_points(name):
     for trial in range(100):
         rng = np.random.default_rng(1000 * trial + 17)
         params, f = _primitive_cases(rng)[name]
-        _, g = ad.eval_and_grad(f, params)
-        fd = ad.finite_diff_grad_params(lambda P: float(f(P)), params)
+        _, g = tape.eval_and_grad(f, params)
+        fd = tape.finite_diff_grad_params(lambda P: float(f(P)), params)
         for pname in params:
             if np.linalg.norm(fd[pname]) < 1e-8:
                 assert np.linalg.norm(g[pname]) < 1e-8
@@ -106,11 +110,11 @@ def test_gradients_bitwise_deterministic():
               "s": rng.standard_normal(6)}
 
     def f(P):
-        h = ad.tanh(ad.matvec(P["w"], ad.cayley_matvec(P["s"], P["x"])))
-        return ad.mul(ad.sumsq(h), 1.0 / 8)
+        h = tape.tanh(tape.matvec(P["w"], tape.cayley_matvec(P["s"], P["x"])))
+        return tape.mul(tape.sumsq(h), 1.0 / 8)
 
-    v1, g1 = ad.eval_and_grad(f, params)
-    v2, g2 = ad.eval_and_grad(f, params)
+    v1, g1 = tape.eval_and_grad(f, params)
+    v2, g2 = tape.eval_and_grad(f, params)
     assert v1 == v2
     for name in params:
         assert np.array_equal(g1[name], g2[name])
@@ -118,34 +122,34 @@ def test_gradients_bitwise_deterministic():
 
 def test_non_scalar_output_rejected():
     with pytest.raises(ContractError):
-        ad.eval_and_grad(lambda P: ad.tanh(P["x"]), {"x": np.ones(3)})
+        tape.eval_and_grad(lambda P: tape.tanh(P["x"]), {"x": np.ones(3)})
 
 
 def test_nan_input_raises_numeric_error():
     with pytest.raises(NumericError):
-        ad.eval_and_grad(lambda P: ad.sumsq(P["x"]), {"x": np.array([1.0, np.nan])})
+        tape.eval_and_grad(lambda P: tape.sumsq(P["x"]), {"x": np.array([1.0, np.nan])})
 
 
 def test_finite_values_with_overflowing_sum_accepted():
-    node = ad.Node([1e308, 1e308])
+    node = tape.Node([1e308, 1e308])
     assert np.array_equal(node.value, [1e308, 1e308])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflow_names_offending_op():
     with pytest.raises(NumericError, match="mul"):
-        ad.eval_and_grad(lambda P: ad.sumsq(ad.mul(P["x"], 1e308)),
+        tape.eval_and_grad(lambda P: tape.sumsq(tape.mul(P["x"], 1e308)),
                          {"x": np.array([1e308])})
 
 
 def test_unused_parameter_gets_zero_grad():
-    _, g = ad.eval_and_grad(lambda P: ad.sumsq(P["x"]),
+    _, g = tape.eval_and_grad(lambda P: tape.sumsq(P["x"]),
                             {"x": np.ones(2), "unused": np.ones((2, 2))})
     assert np.array_equal(g["unused"], np.zeros((2, 2)))
 
 
 def test_constant_output_allowed():
-    val, g = ad.eval_and_grad(lambda P: 2.5, {"x": np.ones(2)})
+    val, g = tape.eval_and_grad(lambda P: 2.5, {"x": np.ones(2)})
     assert val == 2.5
     assert np.array_equal(g["x"], np.zeros(2))
 
@@ -160,9 +164,13 @@ def test_logsumexp_matches_naive_stable(xs):
 
 @given(st.floats(-700, 700))
 def test_log_sigmoid_stable_everywhere(v):
-    out = float(ad.log_sigmoid(np.float64(v)))
+    out, slope = ad.log_sigmoid_with_slope(np.float64(v))
     assert np.isfinite(out)
     assert out <= 0.0
+    # the slope is sigmoid(-v) = 1 - exp(log sigmoid(v))
+    assert np.isfinite(slope)
+    assert 0.0 <= slope <= 1.0
+    assert abs(slope - (1.0 - np.exp(out))) <= 1e-12
 
 
 def test_cayley_rotation_is_special_orthogonal():

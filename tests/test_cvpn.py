@@ -7,6 +7,7 @@ from ncis import cvpn
 from ncis.errors import ContractError
 
 from conftest import rel_err
+import tape
 
 
 def small_model(dim=2, k=1, blocks=4, classes=3, width=16, seed=0):
@@ -70,13 +71,13 @@ def test_coupling_identity_when_translation_zero():
     model = small_model(dim=4, k=1)
     x = np.array([[0.3, -1.0, 2.0, 0.5]])
     label = np.array([2])
-    assert np.array_equal(cvpn._coupling(model, model.params, 0, x, label), x)
+    assert np.array_equal(tape.coupling(model, model.params, 0, x, label), x)
     assert np.array_equal(cvpn.cvpn_inverse_batch(_one_block(model, 0), x, label), x)
 
 
 def test_coupling_shift_hand_example():
     # d = 1, translation 2: [1, 2] -> [3, 2], and the inverse shifts back
-    out = cvpn.coupling_shift(np.array([1.0, 2.0]), np.array([2.0]), split=1)
+    out = tape.coupling_shift(np.array([1.0, 2.0]), np.array([2.0]), split=1)
     assert np.array_equal(out, np.array([3.0, 2.0]))
     model = small_model(blocks=1)
     model.params["block0.t_b3"] = np.array([2.0])   # the net's output is this constant
@@ -88,7 +89,7 @@ def test_coupling_round_trip_exact_on_trained_block(trained_model):
     rng = np.random.default_rng(0)
     xs = rng.uniform(-3, 3, (1000, trained_model.dim))
     labels = rng.integers(0, trained_model.class_count, 1000)
-    y = cvpn._coupling(trained_model, trained_model.params, 1, xs, labels)
+    y = tape.coupling(trained_model, trained_model.params, 1, xs, labels)
     block = _one_block(trained_model, 1)
     assert np.array_equal(cvpn.cvpn_forward_batch(block, xs, labels), y)
     back = cvpn.cvpn_inverse_batch(block, y, labels)
@@ -100,7 +101,7 @@ def test_coupling_round_trip_exact_on_trained_block(trained_model):
 def test_orthogonal_identity_at_init():
     model = small_model()
     x = np.array([[1.5, -0.25]])
-    assert np.array_equal(ad.cayley_matvec(model.params["block0.orth_skew"], x), x)
+    assert np.array_equal(tape.cayley_matvec(model.params["block0.orth_skew"], x), x)
 
 
 def test_orthogonal_hand_rotation():
@@ -109,7 +110,7 @@ def test_orthogonal_hand_rotation():
     model.params["block0.orth_skew"] = np.array([1.0])
     q = ad.cayley_rotation(model.params["block0.orth_skew"], model.dim)
     assert np.allclose(q, np.array([[0.0, -1.0], [1.0, 0.0]]), atol=1e-14)
-    out = ad.cayley_matvec(model.params["block0.orth_skew"], np.array([[1.0, 0.0]]))
+    out = tape.cayley_matvec(model.params["block0.orth_skew"], np.array([[1.0, 0.0]]))
     assert np.allclose(out, np.array([[0.0, 1.0]]), atol=1e-14)
 
 
@@ -117,14 +118,14 @@ def test_orthogonal_preserves_norm_1000_cases():
     rng = np.random.default_rng(2)
     for _ in range(1000):
         x = rng.standard_normal((1, 4))
-        y = ad.cayley_matvec(rng.standard_normal(6), x)
+        y = tape.cayley_matvec(rng.standard_normal(6), x)
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-10
 
 
 def test_orthogonal_inverse_is_transpose():
     skew = np.array([0.37])
     x = np.array([[0.2, -0.8]])
-    y = ad.cayley_matvec(skew, x)
+    y = tape.cayley_matvec(skew, x)
     back = y @ ad.cayley_rotation(skew, 2, transpose=True).T
     assert np.abs(back - x).max() < 1e-14
 
@@ -132,7 +133,7 @@ def test_orthogonal_inverse_is_transpose():
 def test_orthogonal_rejects_vector_input():
     model = small_model()
     with pytest.raises(ContractError):
-        ad.cayley_matvec(model.params["block0.orth_skew"], np.zeros(2))
+        tape.cayley_matvec(model.params["block0.orth_skew"], np.zeros(2))
 
 
 # full model ----------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_invariants_small_on_id_large_off_manifold(toy_run):
 
 def test_jacobian_det_identity_model():
     model = small_model(dim=3, k=1)
-    det = cvpn.jacobian_det_fd(model, np.array([0.2, -0.7, 1.1]), 0)
+    det = tape.jacobian_det_fd(model, np.array([0.2, -0.7, 1.1]), 0)
     assert abs(det - 1.0) < 1e-9
 
 
@@ -196,21 +197,21 @@ def test_jacobian_det_unimodular_after_training(trained_model):
     for _ in range(100):
         e = rng.uniform(-3, 3, trained_model.dim)
         label = int(rng.integers(0, trained_model.class_count))
-        det = cvpn.jacobian_det_fd(trained_model, e, label)
+        det = tape.jacobian_det_fd(trained_model, e, label)
         assert abs(det - 1.0) < 1e-4
 
 
 def test_jacobian_det_single_orthogonal_layer():
     model = small_model(dim=3, k=1, blocks=1)
     model.params["block0.orth_skew"] = np.array([0.9, -0.4, 0.2])
-    det = cvpn.jacobian_det_fd(model, np.array([0.5, 0.1, -0.2]), 0)
+    det = tape.jacobian_det_fd(model, np.array([0.5, 0.1, -0.2]), 0)
     assert abs(det - 1.0) < 1e-6
 
 
 def test_jacobian_det_dimension_cap():
     model = cvpn.build_cvpn(17, 1, 1, 2, 4, 0)
     with pytest.raises(ContractError):
-        cvpn.jacobian_det_fd(model, np.zeros(17), 0)
+        tape.jacobian_det_fd(model, np.zeros(17), 0)
 
 
 @given(st.lists(st.floats(-3, 3), min_size=2, max_size=2),
@@ -232,11 +233,11 @@ def test_gradient_through_full_model_matches_fd():
     labels = np.array([0, 1, 1, 0])
 
     def loss(P):
-        out = cvpn.apply_blocks(model, P, xs, labels)
-        return ad.mul(ad.sumsq(ad.narrow(out, 0, 1)), 0.25)
+        out = tape.apply_blocks(model, P, xs, labels)
+        return tape.mul(tape.sumsq(tape.narrow(out, 0, 1)), 0.25)
 
-    _, g = ad.eval_and_grad(loss, model.params)
-    fd = ad.finite_diff_grad_params(lambda P: float(loss(P)), model.params)
+    _, g = tape.eval_and_grad(loss, model.params)
+    fd = tape.finite_diff_grad_params(lambda P: float(loss(P)), model.params)
     for name in model.params:
         if np.linalg.norm(fd[name]) < 1e-9:
             continue

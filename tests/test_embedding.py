@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ncis import autodiff as ad
 from ncis import embedding as emb
 from ncis.config import RunConfig
 from ncis.errors import ContractError, NumericError
 
 from conftest import rel_err
+import tape
 
 
 def test_linear_schedule_shape():
@@ -99,7 +99,7 @@ def test_heldout_loss_median_non_increasing_over_iterations():
     noisy = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
 
     def heldout_loss(e):
-        pred = den.predict(noisy, ts, e)
+        pred = tape.predict(den, noisy, ts, e)
         return float(np.sum((eps - pred) ** 2)) / 512
 
     max_iters = 20
@@ -127,12 +127,12 @@ def test_batch_loss_gradient_matches_fd():
     noisy = np.sqrt(ab) * x0 + np.sqrt(1 - ab) * eps
 
     def loss(P):
-        pred = den.predict(noisy, ts, P["e"])
-        return ad.mul(ad.sumsq(ad.sub(eps, pred)), 1.0 / 16)
+        pred = tape.predict(den, noisy, ts, P["e"])
+        return tape.mul(tape.sumsq(tape.sub(eps, pred)), 1.0 / 16)
 
     point = rng.standard_normal(3)
-    _, g = ad.eval_and_grad(loss, {"e": point})
-    fd = ad.finite_diff_grad(lambda e: float(loss({"e": e})), point)
+    _, g = tape.eval_and_grad(loss, {"e": point})
+    fd = tape.finite_diff_grad(lambda e: float(loss({"e": e})), point)
     assert rel_err(g["e"], fd) < 1e-5
 
 
@@ -192,10 +192,10 @@ def _tape_embed(sample, anchor, den, schedule, cfg, seed):
         noisy = np.sqrt(ab) * sample + np.sqrt(1.0 - ab) * eps
 
         def loss(P):
-            pred = den.predict(noisy, ts, P["e"])
-            return ad.mul(ad.sumsq(ad.sub(eps, pred)), 1.0 / cfg.embed_batch_size)
+            pred = tape.predict(den, noisy, ts, P["e"])
+            return tape.mul(tape.sumsq(tape.sub(eps, pred)), 1.0 / cfg.embed_batch_size)
 
-        _, grads = ad.eval_and_grad(loss, {"e": e})
+        _, grads = tape.eval_and_grad(loss, {"e": e})
         e = e - cfg.embed_learning_rate * grads["e"]
     return e
 
