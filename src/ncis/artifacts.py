@@ -18,6 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .config import check_range
 from .cvpn import CvpnModel, build_cvpn
 from .data import LabeledEmbeddingSet
 from .density import ClassGaussianBank, regularized_cholesky
@@ -148,19 +149,19 @@ def _comment_fields(path, comments):
     return fields
 
 
-def _checked_params(path, params, arrays):
-    """The arrays named like ``params``, each of the same shape; any other
-    array in the file is rejected."""
-    for name, expected in params.items():
+def _checked_params(path, shapes, arrays):
+    """The arrays named in ``shapes``, in its order, each of its shape there
+    (any shape for None); any other array in the file is rejected."""
+    for name, expected in shapes.items():
         if name not in arrays:
-            raise ArtifactError(f"{path}: missing parameter array '{name}'")
-        if arrays[name].shape != expected.shape:
+            raise ArtifactError(f"{path}: missing array '{name}'")
+        if expected is not None and arrays[name].shape != expected:
             raise ArtifactError(
-                f"{path}: parameter '{name}' has shape {arrays[name].shape}, expected {expected.shape}")
-    extra = set(arrays) - set(params)
+                f"{path}: array '{name}' has shape {arrays[name].shape}, expected {expected}")
+    extra = set(arrays) - set(shapes)
     if extra:
-        raise ArtifactError(f"{path}: unexpected parameter array '{sorted(extra)[0]}'")
-    return {name: arrays[name] for name in params}
+        raise ArtifactError(f"{path}: unexpected array '{sorted(extra)[0]}'")
+    return {name: arrays[name] for name in shapes}
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,8 @@ def _load_model(path, kind, cls, build):
     replaced by the record's arrays."""
     meta, arrays = read_record(path, kind)
     model = build(**{name: _field(path, meta, name, cast) for name, cast in _meta_fields(cls)})
-    model.params = _checked_params(path, model.params, arrays)
+    model.params = _checked_params(path, {name: p.shape for name, p in model.params.items()},
+                                   arrays)
     return model
 
 
@@ -212,21 +214,16 @@ def load_bank(path) -> ClassGaussianBank:
     lam = _field(path, meta, "lam", float)
     class_count = _field(path, meta, "class_count")
     dim = _field(path, meta, "dim")
-    if not (np.isfinite(lam) and lam > 0):
-        raise ArtifactError(f"{path}: meta field 'lam' must be finite and positive, got {lam!r}")
+    try:
+        check_range("density.lambda", lam)
+    except ContractError as err:
+        raise ArtifactError(f"{path}: meta field 'lam': {err}") from err
     if class_count < 1 or dim < 1:
         raise ArtifactError(f"{path}: meta fields 'class_count' and 'dim' must be >= 1, "
                             f"got {class_count} and {dim}")
-    shapes = {f"{kind}{c}": want for c in range(class_count)
-              for kind, want in (("mean", (dim,)), ("cov", (dim, dim)), ("train_logdens", None))}
-    for field, want in shapes.items():
-        if field not in arrays:
-            raise ArtifactError(f"{path}: missing array '{field}'")
-        if want and arrays[field].shape != want:
-            raise ArtifactError(f"{path}: array '{field}' has shape {arrays[field].shape}, expected {want}")
-    extra = set(arrays) - set(shapes)
-    if extra:
-        raise ArtifactError(f"{path}: unexpected array '{sorted(extra)[0]}'")
+    arrays = _checked_params(path, {
+        f"{kind}{c}": want for c in range(class_count)
+        for kind, want in (("mean", (dim,)), ("cov", (dim, dim)), ("train_logdens", None))}, arrays)
     means = np.stack([arrays[f"mean{c}"] for c in range(class_count)])
     covs = np.stack([arrays[f"cov{c}"] for c in range(class_count)])
     try:

@@ -6,6 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from . import artifacts
 from .config import RunConfig, load_config, parse_config
 from .errors import NcisError, ParseError
 from .pipeline import DEFAULT_SWEEP, STAGES, run_pipeline, sweep_lambda
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ParseError(f"--lambdas must be comma-separated numbers, got {args.lambdas!r}")
             rows = sweep_lambda(cfg, args.out, lambdas, log=log)
-            print("lambda,fpr95,auroc,accuracy,mean_invariant_magnitude")
+            print(",".join(artifacts.CSV_TABLES["sweep"][0]))
             for lam, fpr, auc, acc, mag in rows:
                 print(f"{lam:g},{fpr:.4f},{auc:.4f},{acc:.4f},{mag:.6f}")
         else:

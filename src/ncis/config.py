@@ -14,11 +14,14 @@ library's training and embedding loops all read it.  Each key is declared
 once, as a field of ``RunConfig`` (the key with its dot as an underscore)
 that carries its type, default, range check and range text; ``KEY_TABLE``
 is read off those fields.  A ``RunConfig`` is immutable, and building one
-is the one place a value is checked: an integral number is stored as
-``int`` and a real number as ``float`` for the field's type, any other type
-(``bool`` included) or a value out of range raises ``ContractError`` naming
-the key, and so does ``embed.source = csv`` unless every ``data.*_csv``
-path is set.  ``parse_config`` builds one ``RunConfig`` from the file's and
+checks every value: an integral number is stored as ``int`` and a real
+number as ``float`` for the field's type, any other type (``bool``
+included) or a value out of range raises ``ContractError`` naming the key,
+and so does ``embed.source = csv`` unless every ``data.*_csv`` path is set.
+``check_range`` applies one key's range with the same check and error; a
+library function that takes a hyperparameter as an argument checks it
+there, so ``nan`` and ``inf`` are refused wherever the key's range refuses
+them.  ``parse_config`` builds one ``RunConfig`` from the file's and
 the environment's values, and re-raises such an error as a ``ParseError``
 that names the line or variable that set the key.  Derive a changed
 configuration with ``dataclasses.replace``, which runs the same checks.
@@ -112,10 +115,7 @@ class RunConfig:
             key, value = _key(f.name), getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
                 raise _refusal(key, f"must be {f.type.__name__}, got {value!r}")
-            value = f.type(value)
-            if not f.metadata["check"](value):
-                raise _refusal(key, f"out of range (must be {f.metadata['range']}), got {value!r}")
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, check_range(key, f.type(value)))
         if self.embed_source == "csv":
             for name in CSV_SOURCE_FIELDS:
                 if not getattr(self, name):
@@ -124,6 +124,16 @@ class RunConfig:
 
 # key -> (range check, range text), read off the RunConfig fields
 KEY_TABLE = {_key(f.name): (f.metadata["check"], f.metadata["range"]) for f in fields(RunConfig)}
+
+
+def check_range(key, value):
+    """``value``, when it lies in the range declared for ``key``; else the
+    ``ContractError`` naming the key that building a ``RunConfig`` raises."""
+    check, text = KEY_TABLE[key]
+    if not check(value):
+        raise _refusal(key, f"out of range (must be {text}), got {value!r}")
+    return value
+
 
 ALIASES = {
     "lambda": "density.lambda",

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import check_range
+from .data import as_labels, as_rows
 from .errors import ContractError
 from .mlp import tanh_mlp
 
@@ -50,12 +52,10 @@ def build_cvpn(dim, num_invariants, num_blocks, class_count, hidden_width, seed)
     """Construct a model that is the identity map for every class."""
     if not 1 <= num_invariants < dim:
         raise ContractError(f"num_invariants must lie in [1, {dim - 1}], got {num_invariants}")
-    if num_blocks < 1:
-        raise ContractError("num_blocks must be at least 1")
+    check_range("cvpn.num_blocks", num_blocks)
+    check_range("cvpn.hidden_width", hidden_width)
     if class_count < 1:
         raise ContractError("class_count must be at least 1")
-    if hidden_width < 1:
-        raise ContractError("hidden_width must be at least 1")
 
     rng = np.random.default_rng(seed)
     d = ceil_half(dim)
@@ -86,15 +86,8 @@ def translation_layers(P, block):
 # ---------------------------------------------------------------------------
 
 def _check_batch(model, xs, labels):
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.dim:
-        raise ContractError(f"expected shape (N, {model.dim}), got {xs.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (xs.shape[0],):
-        raise ContractError("labels must match the batch length")
-    if labels.size and (labels.min() < 0 or labels.max() >= model.class_count):
-        raise ContractError("unknown class label in batch")
-    return xs, labels
+    xs = as_rows(xs, model.dim)
+    return xs, as_labels(labels, model.class_count, xs.shape[0])
 
 
 def _rotations(model, transpose=False):

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cvpn
-from .errors import ContractError, NumericError
+from .config import check_range
+from .data import LabeledEmbeddingSet, as_labels, as_rows, require_min_class_size
+from .errors import NumericError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -38,13 +40,6 @@ class ClassGaussianBank:
     @property
     def dim(self):
         return self.means.shape[1]
-
-
-def _check_label(bank, label):
-    lab = int(label)
-    if not 0 <= lab < bank.class_count:
-        raise ContractError(f"unknown class label {label!r} (class_count={bank.class_count})")
-    return lab
 
 
 def _logdens(mean, chol, points):
@@ -69,54 +64,30 @@ def regularized_cholesky(cov, lam, name):
 
 def fit_class_gaussians(vectors, labels, lam, class_count=None) -> ClassGaussianBank:
     """Fit one Gaussian per class with biased covariance and lam*I regularization."""
-    if lam <= 0:
-        raise ContractError("lam must be positive")
-    vectors = np.asarray(vectors, dtype=np.float64)
+    check_range("density.lambda", lam)
     labels = np.asarray(labels, dtype=np.int64)
-    if vectors.ndim != 2:
-        raise ContractError("vectors must be (N, D)")
-    if labels.shape != (vectors.shape[0],):
-        raise ContractError("labels must have one entry per vector")
-    if not np.all(np.isfinite(vectors)):
-        raise ContractError("vectors contain non-finite values")
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 0
-    if class_count < 1:
-        raise ContractError("need at least one class")
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ContractError("labels must lie in [0, class_count)")
+    data = LabeledEmbeddingSet(vectors, labels, class_count)
+    require_min_class_size(data, 2)
 
-    dim = vectors.shape[1]
+    dim = data.dim
     means = np.empty((class_count, dim))
     covs = np.empty((class_count, dim, dim))
     chols = np.empty((class_count, dim, dim))
     logdens = []
-
     for label in range(class_count):
-        pts = vectors[labels == label]
-        if pts.shape[0] < 2:
-            raise ContractError(f"class {label} needs at least 2 vectors, got {pts.shape[0]}")
-        mu = pts.mean(axis=0)
-        diff = pts - mu
-        cov = diff.T @ diff / pts.shape[0]
-        cov = 0.5 * (cov + cov.T)
-        chol = regularized_cholesky(cov, lam, f"covariance of class {label}")
-        means[label] = mu
-        covs[label] = cov
-        chols[label] = chol
-        logdens.append(np.sort(_logdens(mu, chol, pts)))
-
+        pts, means[label], covs[label] = data.class_moments(label)
+        chols[label] = regularized_cholesky(covs[label], lam, f"covariance of class {label}")
+        logdens.append(np.sort(_logdens(means[label], chols[label], pts)))
     return ClassGaussianBank(float(lam), means, covs, chols, logdens)
 
 
 def log_density_v_batch(bank, vs, label):
     """Gaussian log-density of each row of ``vs``; each row's value is the
     same whatever it is batched with."""
-    lab = _check_label(bank, label)
-    vs = np.asarray(vs, dtype=np.float64)
-    if vs.ndim != 2 or vs.shape[1] != bank.dim:
-        raise ContractError(f"expected shape (N, {bank.dim}), got {vs.shape}")
-    return _logdens(bank.means[lab], bank.cholesky[lab], vs)
+    lab = int(as_labels(label, bank.class_count))
+    return _logdens(bank.means[lab], bank.cholesky[lab], as_rows(vs, bank.dim))
 
 
 def log_density_e_batch(bank, model, es, label):

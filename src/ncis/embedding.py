@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
-from .data import LabeledEmbeddingSet
+from .config import RunConfig, check_range
+from .data import LabeledEmbeddingSet, as_labels, as_rows
 from .errors import ContractError, NumericError
 
 # the linear schedule's first and last per-step noise variances
@@ -53,9 +53,7 @@ class NoiseSchedule:
     @classmethod
     def linear(cls, timesteps=RunConfig.embed_timesteps):
         """Linear variance schedule from BETA_START to BETA_END; alpha_bar ends small."""
-        if timesteps < 1:
-            raise ContractError("timesteps must be at least 1")
-        betas = np.linspace(BETA_START, BETA_END, timesteps)
+        betas = np.linspace(BETA_START, BETA_END, check_range("embed.timesteps", timesteps))
         return cls(np.cumprod(1.0 - betas))
 
 
@@ -149,18 +147,10 @@ def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
     ``cfg.embed_batch_size`` (timestep, noise) pairs and moves
     ``cfg.embed_learning_rate`` times the gradient.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    if anchors.ndim != 2:
-        raise ContractError("anchors must be (class_count, embed_dim)")
+    anchors = as_rows(anchors, name="anchors")  # one row per class
     class_count = anchors.shape[0]
-    if samples.ndim != 2:
-        raise ContractError("samples must be (N, dx)")
-    if labels.shape != (samples.shape[0],):
-        raise ContractError("labels must have one entry per sample")
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ContractError("labels must index into the anchor table")
+    samples = as_rows(samples, name="samples")
+    labels = as_labels(labels, class_count, samples.shape[0])
     if item_seeds is not None and len(item_seeds) != samples.shape[0]:
         raise ContractError("item_seeds must have one entry per sample")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, check_range
 from .data import LabeledEmbeddingSet
 from .errors import ContractError
 
@@ -126,10 +126,9 @@ def _sample_class(rng, arc, count, noise):
 def make_toy_benchmark(seed, n_per_class, noise=RunConfig.benchmark_noise,
                        margin=RunConfig.benchmark_margin, ood_count=None) -> ToyBenchmark:
     """Deterministic three-class 2-d benchmark with an off-manifold OOD set."""
-    if n_per_class < 1:
-        raise ContractError("n_per_class must be at least 1")
-    if noise <= 0 or margin <= 0:
-        raise ContractError("noise and margin must be positive")
+    check_range("benchmark.n_per_class", n_per_class)
+    check_range("benchmark.noise", noise)
+    check_range("benchmark.margin", margin)
     if noise >= margin:
         raise ContractError("noise must stay below the OOD margin")
     if ood_count is None:

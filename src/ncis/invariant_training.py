@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import cvpn
-from .config import RunConfig
-from .data import LabeledEmbeddingSet, require_min_class_size
+from .config import RunConfig, check_range
+from .data import LabeledEmbeddingSet, as_rows, require_min_class_size
 from .errors import ContractError, NumericError
 from .mlp import step_buffers, tanh_mlp_backward
 from .optim import adam_init, adam_update, flatten_params, views_like
@@ -35,19 +35,14 @@ def select_num_invariants(data: LabeledEmbeddingSet, variance_percent: float) ->
     [1, D-1].  A degenerate class (zero total variance) contributes D-1 with
     a warning.
     """
-    if not 0.0 < variance_percent < 100.0:
-        raise ContractError("variance_percent must lie in (0, 100)")
+    check_range("invariants.p", variance_percent)
     require_min_class_size(data, 2)
     dim = data.dim
     fraction = variance_percent / 100.0
 
     per_class = []
     for label in range(data.class_count):
-        pts = data.class_points(label)
-        mu = pts.mean(axis=0)
-        diff = pts - mu
-        cov = diff.T @ diff / len(pts)
-        evals = np.linalg.eigvalsh(cov)  # ascending
+        evals = np.linalg.eigvalsh(data.class_moments(label)[2])  # ascending
         total = float(evals.sum())
         if total <= 0.0:
             warnings.warn(f"class {label} is degenerate (zero variance); using K={dim - 1}")
@@ -63,10 +58,7 @@ def select_num_invariants(data: LabeledEmbeddingSet, variance_percent: float) ->
 
 def invariant_loss(model, embeddings, labels) -> float:
     """Mean squared invariant norm over a batch."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[0] == 0:
-        raise ContractError("invariant_loss needs a non-empty (N, D) batch")
-    g = cvpn.invariants_batch(model, embeddings, labels)
+    g = cvpn.invariants_batch(model, as_rows(embeddings, nonempty=True), labels)
     return float(np.mean(np.sum(g * g, axis=1)))
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig
-from .data import LabeledEmbeddingSet
+from .config import RunConfig, check_range
+from .data import LabeledEmbeddingSet, as_rows
 from .errors import ContractError, NumericError
 from .mlp import step_buffers, tanh_mlp, tanh_mlp_backward
 from .optim import adam_init, adam_update, flatten_params, views_like
@@ -47,10 +47,9 @@ def build_energy_classifier(dim, class_count, hidden_width=RunConfig.classifier_
     score is identically zero before training."""
     if dim < 1 or class_count < 1:
         raise ContractError("dim and class_count must be positive")
-    if hidden_width < 1 or phi_hidden < 1:
-        raise ContractError("widths must be positive")
-    if beta < 0:
-        raise ContractError("beta must be non-negative")
+    check_range("classifier.hidden_width", hidden_width)
+    check_range("classifier.phi_hidden", phi_hidden)
+    check_range("classifier.beta", beta)
     rng = np.random.default_rng(seed)
     params = {
         "clf.w1": rng.standard_normal((hidden_width, dim)) / np.sqrt(dim),
@@ -102,10 +101,7 @@ def score_rows(clf, xs) -> Scored:
     matmuls), so a row's results do not depend on the rows batched with it;
     a plain (N, D) matmul would change the last bits with N.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != clf.dim:
-        raise ContractError(f"expected shape (N, {clf.dim}), got {xs.shape}")
-    logits, _ = tanh_mlp(_clf_layers(clf.params), xs[:, None, :])
+    logits, _ = tanh_mlp(_clf_layers(clf.params), as_rows(xs, clf.dim)[:, None, :])
     energies = _energy_of_logits(logits)
     scores, _ = tanh_mlp(_phi_layers(clf.params), energies[..., None])
     return Scored(np.argmax(logits[:, 0], axis=1), energies[:, 0], scores[:, 0, 0])
@@ -168,12 +164,8 @@ def train_energy_classifier(id_data: LabeledEmbeddingSet, outliers,
     entirely, so the scoring head keeps its initialization.  The returned
     classifier's parameters are views of one flat buffer (see ``optim``).
     """
-    ood_x = outliers.embeddings if hasattr(outliers, "embeddings") else np.asarray(outliers, dtype=np.float64)
-    ood_x = np.asarray(ood_x, dtype=np.float64)
-    if ood_x.ndim != 2 or ood_x.shape[0] == 0:
-        raise ContractError("outliers must be a non-empty (N, D) collection")
-    if ood_x.shape[1] != id_data.dim:
-        raise ContractError("outlier dimension does not match the ID data")
+    ood_x = as_rows(getattr(outliers, "embeddings", outliers), id_data.dim, "outliers",
+                    nonempty=True)
 
     clf = build_energy_classifier(id_data.dim, id_data.class_count,
                                   hidden_width=cfg.classifier_hidden_width,

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cvpn
-from .config import RunConfig
+from .config import RunConfig, check_range
+from .data import as_labels
 from .density import log_density_v_batch
 from .errors import ContractError, SamplingError
 
@@ -62,12 +63,8 @@ def acceptance_threshold(bank, label, q) -> float:
     imports ``numpy.ma`` on its way (numpy 2.x), which every sampling process
     would pay for.
     """
-    if not 0.0 < q < 1.0:
-        raise ContractError("q must lie in (0, 1)")
-    lab = int(label)
-    if not 0 <= lab < bank.class_count:
-        raise ContractError(f"unknown class label {label!r}")
-    values = bank.train_logdens[lab]
+    check_range("sample.q", q)
+    values = bank.train_logdens[int(as_labels(label, bank.class_count))]
     n = len(values)
     v = (n - 1) * q
     lo = math.floor(v)
@@ -93,8 +90,7 @@ def rejection_sample_invariant(bank, label, q, max_attempts, rng, threshold=None
     max_attempts = int(max_attempts)
     if max_attempts < 1:
         raise ContractError("max_attempts must be at least 1")
-    if n < 1:
-        raise ContractError("n must be at least 1")
+    check_range("sample.n_per_class", n)
     mu = bank.means[lab]
     chol = bank.cholesky[lab]
     vs, lds = [], []
@@ -130,10 +126,8 @@ def synthesize_outliers(model, bank, n_per_class, q=RunConfig.sample_q, max_atte
     Each class consumes its own generator seeded with ``seed ^ label``, so
     classes are reproducible independently of each other.
     """
-    if n_per_class < 1:
-        raise ContractError("n_per_class must be at least 1")
-    if not 0.0 < q < 1.0:
-        raise ContractError("q must lie in (0, 1)")
+    check_range("sample.n_per_class", n_per_class)
+    check_range("sample.q", q)
     if bank.dim != model.dim:
         raise ContractError("bank dimension does not match the model")
     if max_attempts is None:

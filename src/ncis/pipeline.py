@@ -51,7 +51,8 @@ import numpy as np
 from . import artifacts, cvpn, density, embedding, evalharness, invariant_training
 from . import ood_classifier, outlier_sampling
 from .config import CSV_SOURCE_FIELDS, KEY_TABLE, RunConfig, config_lines, namespace_fields
-from .errors import ArtifactError, ContractError, NcisError, ParseError, PipelineError
+from .data import as_rows
+from .errors import ArtifactError, NcisError, ParseError, PipelineError
 
 MANIFEST_NAME = "manifest.json"
 
@@ -186,9 +187,7 @@ def stage_train_classifier(cfg: RunConfig, train, outliers):
 
 def stage_evaluate(cfg: RunConfig, clf, heldout, ood):
     n = len(heldout)
-    if ood.shape[1] != heldout.dim:
-        raise ContractError(f"the OOD points have {ood.shape[1]} columns, "
-                            f"the held-out embeddings {heldout.dim}")
+    ood = as_rows(ood, heldout.dim, "the OOD points")
     scored = ood_classifier.score_rows(clf, np.concatenate([heldout.embeddings, ood]))
     # beta = 0 trains a plain cross-entropy classifier whose scoring head is
     # never updated; fall back to the raw (negated) energy score there.
@@ -320,7 +319,8 @@ def _checked_key(stage, cfg: RunConfig, out_dir: Path, manifest):
 
 
 def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None, objects=None):
-    """Run the requested stages in order; returns {stage: [output paths]}.
+    """Run the requested stages, each once and in ``STAGES`` order whatever
+    the order they are listed in; returns {stage: [output paths]}.
 
     A stage whose manifest record carries its current key and whose outputs
     exist is skipped, or refused with ``ArtifactError`` when an output's
@@ -342,6 +342,7 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None, objects=None):
     for stage in stages:
         if stage not in STAGES:
             raise PipelineError(f"unknown stage '{stage}'")
+    stages = [stage for stage in order if stage in stages]
 
     manifest = _load_manifest(out_dir)
     produced = {}

@@ -4,9 +4,11 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from ncis import config, pipeline
+from ncis import (artifacts, config, cvpn, density, embedding, evalharness, invariant_training,
+                  ood_classifier, outlier_sampling, pipeline)
 from ncis.config import KEY_TABLE, RunConfig, config_lines, namespace_fields, parse_config
-from ncis.errors import ContractError, ParseError
+from ncis.data import LabeledEmbeddingSet
+from ncis.errors import ArtifactError, ContractError, ParseError
 
 
 def test_empty_text_gives_defaults():
@@ -198,3 +200,63 @@ def test_parse_errors_name_where_the_value_was_set():
     # the csv rule names the line that chose the source, and the missing key
     with pytest.raises(ParseError, match=r"^line 2: embed.source = csv needs .*'data.train_csv'"):
         parse_config("seed = 1\nembed.source = csv\n", environ={})
+
+
+def _out_of_range(key):
+    """A finite value of ``key``'s type that its range refuses."""
+    check, _ = KEY_TABLE[key]
+    kind = type(getattr(RunConfig, key.replace(".", "_")))
+    return next(kind(v) for v in (0, -1, 100) if not check(kind(v)))
+
+
+_LABELS = np.repeat(np.arange(3), 10)
+_DATA = LabeledEmbeddingSet(np.random.default_rng(0).standard_normal((30, 2)), _LABELS, 3)
+_BANK = density.fit_class_gaussians(_DATA.embeddings, _LABELS, 1e-5)
+_MODEL = cvpn.build_cvpn(2, 1, 1, 3, 4, 0)
+
+
+def _load_bank_at(lam, tmp_path):
+    path = tmp_path / "bank.txt"
+    artifacts.save_bank(replace(_BANK, lam=lam), path)
+    return artifacts.load_bank(path)
+
+
+# (key, call with the key's value, the error a refusal raises): each library
+# entry point that takes a hyperparameter, once per hyperparameter
+LIBRARY_RANGES = [
+    ("density.lambda", lambda v, _: density.fit_class_gaussians(_DATA.embeddings, _LABELS, v),
+     ContractError),
+    ("density.lambda", _load_bank_at, ArtifactError),
+    ("cvpn.num_blocks", lambda v, _: cvpn.build_cvpn(2, 1, v, 3, 4, 0), ContractError),
+    ("cvpn.hidden_width", lambda v, _: cvpn.build_cvpn(2, 1, 1, 3, v, 0), ContractError),
+    ("classifier.hidden_width",
+     lambda v, _: ood_classifier.build_energy_classifier(2, 3, hidden_width=v), ContractError),
+    ("classifier.phi_hidden",
+     lambda v, _: ood_classifier.build_energy_classifier(2, 3, phi_hidden=v), ContractError),
+    ("classifier.beta", lambda v, _: ood_classifier.build_energy_classifier(2, 3, beta=v),
+     ContractError),
+    ("sample.q", lambda v, _: outlier_sampling.acceptance_threshold(_BANK, 0, v), ContractError),
+    ("sample.n_per_class", lambda v, _: outlier_sampling.synthesize_outliers(_MODEL, _BANK, v),
+     ContractError),
+    ("sample.q", lambda v, _: outlier_sampling.synthesize_outliers(_MODEL, _BANK, 1, q=v),
+     ContractError),
+    ("invariants.p", lambda v, _: invariant_training.select_num_invariants(_DATA, v),
+     ContractError),
+    ("benchmark.n_per_class", lambda v, _: evalharness.make_toy_benchmark(0, v), ContractError),
+    ("benchmark.noise", lambda v, _: evalharness.make_toy_benchmark(0, 3, noise=v),
+     ContractError),
+    ("benchmark.margin", lambda v, _: evalharness.make_toy_benchmark(0, 3, margin=v),
+     ContractError),
+    ("embed.timesteps", lambda v, _: embedding.NoiseSchedule.linear(v), ContractError),
+]
+
+
+@pytest.mark.parametrize("which", ["nan", "inf", "finite"])
+@pytest.mark.parametrize("key, call, error", [
+    pytest.param(*case, id=f"{i}-{case[0]}") for i, case in enumerate(LIBRARY_RANGES)])
+def test_library_entry_points_refuse_a_hyperparameter_out_of_range(key, call, error, which,
+                                                                    tmp_path):
+    # the range RunConfig declares for the key, nan and inf included, with its message
+    value = {"nan": float("nan"), "inf": float("inf")}.get(which) or _out_of_range(key)
+    with pytest.raises(error, match=re.escape(f"{key} out of range (must be {KEY_TABLE[key][1]})")):
+        call(value, tmp_path)

@@ -112,6 +112,21 @@ def test_single_stage_needs_upstream(tmp_path):
         pipeline.run_pipeline(tiny_cfg(), tmp_path / "solo", stages=["train-cvpn"])
 
 
+def test_requested_stages_run_in_pipeline_order(tmp_path):
+    # listed out of order and one twice: each runs once, upstream first
+    out = tmp_path / "run"
+    cfg = tiny_cfg("cvpn.train_iterations = 10\n")
+    pipeline.run_pipeline(cfg, out, stages=["embed"])
+    lines = []
+    produced = pipeline.run_pipeline(cfg, out, stages=["fit-density", "train-cvpn", "fit-density"],
+                                     log=lines.append)
+    assert list(produced) == ["train-cvpn", "fit-density"]
+    assert lines == ["[train-cvpn] wrote cvpn.txt, loss_history.csv",
+                     "[fit-density] wrote bank.txt"]
+    with pytest.raises(pipeline.PipelineError, match="^unknown stage 'fit'$"):
+        pipeline.run_pipeline(cfg, out, stages=["train-cvpn", "fit"])
+
+
 def test_stagewise_equals_run_all(tmp_path):
     # run-all hands each stage the objects earlier stages returned, while a
     # stage run on its own parses its inputs from disk: every file matches,
@@ -329,8 +344,10 @@ def test_cli_sweep_lambda(tmp_path, capsys):
     rc = cli.main(["sweep-lambda", "--config", str(cfg_file),
                    "--out", str(tmp_path / "sweep"), "--lambdas", "1e-6,1e-4"])
     assert rc == 0
-    assert (tmp_path / "sweep" / "sweep_metrics.csv").exists()
-    assert "mean_invariant_magnitude" in capsys.readouterr().out
+    table = (tmp_path / "sweep" / "sweep_metrics.csv").read_text().splitlines()
+    printed = capsys.readouterr().out.splitlines()
+    # the printed table: its header, then one row per value
+    assert printed[-3] == table[1] == "lambda,fpr95,auroc,accuracy,mean_invariant_magnitude"
 
 
 def test_cli_malformed_csv_comment_fails_with_stage_tag(tmp_path, capsys):
