@@ -17,7 +17,8 @@ is read off those fields.  A ``RunConfig`` is immutable, and building one
 checks every value: an integral number is stored as ``int`` and a real
 number as ``float`` for the field's type, any other type (``bool``
 included) or a value out of range raises ``ContractError`` naming the key,
-and so does ``embed.source = csv`` unless every ``data.*_csv`` path is set.
+and so do a ``benchmark.noise`` that reaches ``benchmark.margin`` and
+``embed.source = csv`` unless every ``data.*_csv`` path is set.
 ``check_range`` applies one key's range with the same check and error; a
 library function that takes a hyperparameter as an argument checks it
 there, so ``nan`` and ``inf`` are refused wherever the key's range refuses
@@ -116,6 +117,9 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, _ACCEPTS[f.type]):
                 raise _refusal(key, f"must be {f.type.__name__}, got {value!r}")
             object.__setattr__(self, f.name, check_range(key, f.type(value)))
+        if self.benchmark_noise >= self.benchmark_margin:
+            raise _refusal("benchmark.noise", f"must stay below benchmark.margin "
+                           f"({self.benchmark_margin!r}), got {self.benchmark_noise!r}")
         if self.embed_source == "csv":
             for name in CSV_SOURCE_FIELDS:
                 if not getattr(self, name):

@@ -69,7 +69,9 @@ def invariant_loss_and_grad(model, x, labels, grads, out=None) -> float:
     against the forward map on the test suite's autodiff tape (``apply_blocks``
     in ``tests/tape.py``).  Each gradient of ``model.params[name]`` is written
     into ``grads[name]``.  ``out`` holds one ``mlp.step_buffers`` per block's
-    translation net.
+    translation net; the blocks may share their gradient and slope arrays,
+    since each block's input gradient is used up before the next block's
+    backward pass starts.
     """
     saved = []
     x = cvpn.cvpn_forward_batch(model, x, labels, saved, out)
@@ -119,8 +121,12 @@ def train_cvpn(model, data: LabeledEmbeddingSet, cfg: RunConfig):
     n = len(data)
     bs = min(cfg.cvpn_train_batch, n)
     history = np.empty((cfg.cvpn_train_iterations, 2))
-    out = [step_buffers(cvpn.translation_layers(model.params, i), bs)
-           for i in range(model.num_blocks)]
+    # each block keeps its activations for the backward pass, which runs one
+    # block at a time and uses up a block's input gradient before the next:
+    # every block borrows block 0's gradient and slope arrays
+    out = [step_buffers(cvpn.translation_layers(model.params, 0), bs)]
+    out += [step_buffers(cvpn.translation_layers(model.params, i), bs, backward=out[0])
+            for i in range(1, model.num_blocks)]
 
     # the finite check below reports a non-finite step with its position
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,10 +22,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def step_buffers(layers, rows):
+def step_buffers(layers, rows, backward=None):
     """One training step's arrays for ``layers`` on batches of at most
     ``rows`` rows: per layer, its output, the gradient with respect to its
-    input, and (past the first layer) its input's tanh slope."""
+    input, and (past the first layer) its input's tanh slope.
+
+    ``backward``, the step buffers of a network of the same shapes, lends
+    its gradient and slope arrays instead of new ones: right when the two
+    networks' backward passes never overlap, since each output array holds
+    an activation that the network's backward pass still reads.
+    """
+    if backward is not None:
+        return [(np.empty((rows, w.shape[0])), g, slope)
+                for (w, _), (_, g, slope) in zip(layers, backward, strict=True)]
     return [(np.empty((rows, w.shape[0])), np.empty((rows, w.shape[1])),
              np.empty((rows, w.shape[1])) if i else None)
             for i, (w, _) in enumerate(layers)]

@@ -18,9 +18,10 @@ One call parses each file at most once, and no file it wrote: every object
 handed to each later stage that reads a file with those bytes.  A sweep
 hands its shared stages' objects to every branch: it lists each branch with
 them in ``_branches``, and one function runs a branch by its index there,
-inline or in a forked worker, which inherits the list.  This is right because
-saving and loading an object gives it back field for field, and because no
-body changes its inputs; the test suite checks both.
+inline or in a worker the sweep forks itself, which inherits the list and is
+sent only indices, through a pipe of its own.  This is right because saving
+and loading an object gives it back field for field, and because no body
+changes its inputs; the test suite checks both.
 
 ``manifest.json`` holds one record per completed stage: its key and the
 digests of the files it read and wrote.  A stage is skipped when its record
@@ -36,15 +37,19 @@ output is ever left half written, and the manifest is written after them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
+import pickle
+import select
 import shutil
 import sys
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -445,25 +450,9 @@ def _sweep_workers(branches):
 
 # the sweep's branches, each (cfg, directory, stages, shared objects), while
 # ``sweep_lambda`` runs them; a worker forked by it inherits the list (see
-# ``_fork_pool``), and the sweep empties it before returning.  One list per
-# process, so a process runs one sweep at a time.
+# ``_branch_results``), and the sweep empties it before returning.  One list
+# per process, so a process runs one sweep at a time.
 _branches = []
-
-
-def _fork_pool(workers):
-    """A pool of ``workers`` forked processes; None for fewer than two, or
-    where fork is unavailable or, as on macOS, unsafe.  Forked, not spawned:
-    a spawned worker would import numpy again before its first task, and
-    each forked worker inherits ``_branches`` unpickled, so a task is an
-    index into it."""
-    if workers < 2 or sys.platform == "darwin":
-        return None
-    # imported here so that `import ncis` does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _sweep_branch(index):
@@ -486,6 +475,112 @@ def _sweep_branch(index):
     except NcisError as err:
         return None, lines, err
     return (cfg.density_lambda, fpr, auc, acc, magnitude), lines, None
+
+
+def _serve_branches(tasks, results, parent_ends):
+    """A forked worker's life: close the parent's ends of the workers' pipes
+    (``parent_ends``), then run each branch whose index arrives on the
+    ``tasks`` pipe, one per line, and pickle its result into the ``results``
+    pipe, until ``tasks`` closes.  It leaves through ``os._exit``, never back
+    into the sweep's frames."""
+    status = 1
+    try:
+        for fd in parent_ends:
+            os.close(fd)
+        with open(tasks, "rb") as tasks, open(results, "wb") as results:
+            for line in tasks:
+                try:
+                    result = _sweep_branch(int(line))
+                except Exception as err:  # the parent raises it, as an inline branch would
+                    result = None, [], err
+                pickle.dump(result, results)
+                results.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _lost_worker(index, pid):
+    """The result of branch ``index`` when its worker ``pid`` ended without
+    one: a ``PipelineError`` naming the value and the worker's exit status."""
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    lam = _branches[index][0].density_lambda
+    return None, [], PipelineError(f"lambda {lam!r}: its sweep worker ended without a "
+                                   f"result (exit status {status})")
+
+
+def _branch_results(workers):
+    """The result of each of ``_branches`` (see ``_sweep_branch``), in
+    index order.
+
+    With two workers or more, where fork is available and safe (not on
+    macOS), the branches run in that many processes forked from this one,
+    each with a pipe of its own each way: a worker is sent the next unstarted
+    index when it returns a result, and none once some branch has failed.
+    A worker that ends without a result fails its branch.  Every worker is
+    reaped when the results end or the caller closes the generator; one
+    still running its branch finishes it first.  Otherwise the branches run
+    here, one at a time.
+    """
+    if workers < 2 or sys.platform == "darwin" or not hasattr(os, "fork"):
+        yield from map(_sweep_branch, range(len(_branches)))
+        return
+    unstarted = iter(range(len(_branches)))
+    failed = False
+    running = {}  # each worker's result pipe -> the worker
+    results = {}
+
+    def dispatch(worker):
+        worker.index = None if failed else next(unstarted, None)
+        if worker.index is None:
+            worker.tasks.close()
+        else:
+            worker.tasks.write(f"{worker.index}\n")
+            worker.tasks.flush()
+
+    try:
+        parent_ends = []
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            parent_ends += [task_w, result_r]
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (task_r, task_w, result_r, result_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                _serve_branches(task_r, result_w, parent_ends)
+            os.close(task_r)
+            os.close(result_w)
+            running[open(result_r, "rb")] = SimpleNamespace(pid=pid, tasks=open(task_w, "w"))
+        for worker in running.values():
+            dispatch(worker)
+        for index in range(len(_branches)):
+            while index not in results:
+                busy = [pipe for pipe, worker in running.items() if worker.index is not None]
+                if not busy:
+                    return
+                for pipe in select.select(busy, [], [])[0]:
+                    worker = running[pipe]
+                    try:
+                        results[worker.index] = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        del running[pipe]
+                        pipe.close()
+                        worker.tasks.close()
+                        results[worker.index] = _lost_worker(worker.index, worker.pid)
+                    failed = failed or results[worker.index][2] is not None
+                    if pipe in running:
+                        dispatch(worker)
+            yield results.pop(index)
+    finally:
+        for pipe, worker in running.items():
+            worker.tasks.close()
+            pipe.close()
+        for worker in running.values():
+            os.waitpid(worker.pid, 0)
 
 
 def _collect_rows(results, log):
@@ -514,16 +609,21 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     the objects the shared stages wrote, so it parses none of their files.
 
     The per-value branches (fit-density onward) are independent.  The sweep
-    lists them in ``_branches`` and maps ``_sweep_branch`` over their indices:
-    in worker processes forked from this one, one per usable CPU left after
-    BLAS threads and at most one per value (see ``_sweep_workers``), or
-    inline when that leaves one worker or fork is unavailable or unsafe.  Each
-    branch's log lines are passed to ``log`` when it finishes, in value
-    order, so the lines and their order match a one-at-a-time sweep.  A
-    failing value raises its ``PipelineError`` once every earlier value has
-    finished; branches already started run to completion, but values still
-    waiting for a worker may not run.  No worker outlives the call, and
-    ``_branches`` is empty again when it returns or raises.
+    lists them in ``_branches`` and runs ``_sweep_branch`` on their indices
+    (see ``_branch_results``): in worker processes it forks with ``os.fork``,
+    one per usable CPU left after BLAS threads and at most one per value
+    (see ``_sweep_workers``), or inline when that leaves one worker or fork
+    is unavailable or unsafe.  Each worker is sent the next unstarted index
+    through its own pipe when it returns a result, and pickles each result
+    back through another.  Each branch's log lines are passed to ``log``
+    when it finishes, in value order, so the lines and their order match a
+    one-at-a-time sweep.  A failing value raises its ``PipelineError`` once
+    every earlier value has finished; branches already started run to
+    completion, but values still waiting for a worker may not run.  A worker
+    that dies, or whose pipe ends before its result, fails its value with a
+    ``PipelineError`` naming the value and the worker's exit status.  Every
+    worker is reaped with ``os.waitpid`` before the call returns or raises,
+    and ``_branches`` is empty again then.
     """
     lambdas = list(lambdas)
     names = _sweep_dir_names(lambdas)
@@ -538,14 +638,10 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     order = list(STAGES)
     stages = [order[len(SWEEP_SHARED_STAGES):]] + [order] * (len(dirs) - 1)
     _branches[:] = zip(cfgs, dirs, stages, itertools.repeat(shared))
-    pool = None
     try:
-        pool = _fork_pool(_sweep_workers(len(_branches)))
-        branch_map = map if pool is None else pool.map
-        rows = _collect_rows(branch_map(_sweep_branch, range(len(_branches))), log)
+        with contextlib.closing(_branch_results(_sweep_workers(len(_branches)))) as results:
+            rows = _collect_rows(results, log)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         _branches.clear()
     artifacts.save_sweep_csv(rows, out_dir / "sweep_metrics.csv")
     return rows

@@ -190,6 +190,20 @@ def test_run_config_csv_source_built_in_code_requires_every_path():
     assert cfg.data_ood_csv == "c.csv"
 
 
+def test_run_config_refuses_noise_that_reaches_the_margin():
+    # the toy benchmark's rule is checked when the config is built, not first
+    # when the embed stage runs
+    with pytest.raises(ContractError, match=r"^benchmark.noise must stay below benchmark.margin"):
+        RunConfig(benchmark_noise=0.5)
+    with pytest.raises(ContractError, match="benchmark.noise"):
+        RunConfig(benchmark_noise=0.2, benchmark_margin=0.2)
+    assert RunConfig(benchmark_noise=0.2, benchmark_margin=0.25).benchmark_noise == 0.2
+    with pytest.raises(ParseError, match=r"^line 2: benchmark.noise must stay below"):
+        parse_config("seed = 1\nbenchmark.noise = 0.5\n", environ={})
+    with pytest.raises(ParseError, match="^environment variable NCIS_BENCHMARK_NOISE: "):
+        parse_config("", environ={"NCIS_BENCHMARK_NOISE": "0.3"})
+
+
 def test_parse_errors_name_where_the_value_was_set():
     with pytest.raises(ParseError, match=r"^line 3: density.lambda out of range"):
         parse_config("seed = 1\n\nlambda = -1\n", environ={})

@@ -3,15 +3,17 @@
 import copy
 import filecmp
 import json
-import multiprocessing
 import os
+import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import ncis
 from ncis import artifacts, invariant_training, pipeline
 from ncis.config import CSV_SOURCE_FIELDS, RunConfig, config_lines
 from ncis.errors import ArtifactError, ParseError, PipelineError, SamplingError
@@ -137,7 +139,15 @@ def one_at_a_time_lines(lambdas):
 
 
 # where the sweep may fork its workers
-FORKS = sys.platform != "darwin" and "fork" in multiprocessing.get_all_start_methods()
+FORKS = sys.platform != "darwin" and hasattr(os, "fork")
+
+
+def assert_no_child_left():
+    # waitpid sees every child of this process, however it was forked; a
+    # finished child not yet reaped would be returned, a running one gives
+    # (0, 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def tree_bytes(root):
@@ -163,7 +173,7 @@ def test_sweep_forked_and_inline_branches_agree(tmp_path, monkeypatch):
         rows[workers] = pipeline.sweep_lambda(tiny_cfg(), tmp_path / f"workers{workers}",
                                               log=messages.append)
         assert messages == one_at_a_time_lines(pipeline.DEFAULT_SWEEP)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     ran_in = {workers: {int(p.read_text()) for p in pids.glob(f"workers{workers}-*")}
               for workers in (1, 2)}
     assert ran_in[1] == {os.getpid()}
@@ -208,7 +218,7 @@ def test_failing_sweep_raises_what_the_first_value_alone_raises(tmp_path, monkey
     assert str(swept.value) == str(alone.value)
     assert str(swept.value).startswith("stage 'sample-outliers': class 0: accepted")
     assert messages == alone_messages
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert len(pipeline.sweep_lambda(tiny_cfg(), tmp_path / "fresh")) == len(pipeline.DEFAULT_SWEEP)
 
 
@@ -229,7 +239,7 @@ def test_sweep_leaves_no_branch_state_behind(tmp_path, monkeypatch, workers, fai
         assert len(pipeline.sweep_lambda(cfg, tmp_path, lambdas)) == len(lambdas)
     assert listed == [len(lambdas)]
     assert pipeline._branches == []
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
@@ -259,7 +269,93 @@ def test_sweep_raises_first_failure_in_list_order_after_started_branches(tmp_pat
     assert later_failed.exists()
     assert messages == one_at_a_time_lines([1e-6])[:3]
     assert (out / "lambda_1e-05" / "metrics.csv").exists()
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
+def test_sweep_worker_that_dies_fails_its_value(tmp_path, monkeypatch):
+    # a worker that leaves in the middle of 1e-04's fit-density sends no
+    # result; the values before it print their lines, and its own error names
+    # it and the worker's exit status
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: 2)
+    fit = pipeline.STAGES["fit-density"]
+    sweep_pid = os.getpid()
+
+    def fit_dying(cfg, *inputs):
+        if cfg.density_lambda == 1e-4 and os.getpid() != sweep_pid:
+            os._exit(3)
+        return fit.body(cfg, *inputs)
+
+    monkeypatch.setitem(pipeline.STAGES, "fit-density", fit._replace(body=fit_dying))
+    messages = []
+    with pytest.raises(PipelineError,
+                       match=r"^lambda 0\.0001: its sweep worker ended without a result "
+                             r"\(exit status 3\)$"):
+        pipeline.sweep_lambda(tiny_cfg(), tmp_path, log=messages.append)
+    assert messages == one_at_a_time_lines(pipeline.DEFAULT_SWEEP[:2])
+    assert pipeline._branches == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_raises_an_unexpected_branch_error_as_itself(tmp_path, monkeypatch, workers):
+    # an error that is no NcisError is not turned into a lost worker: the
+    # sweep raises it, forked as inline
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: workers)
+    fit = pipeline.STAGES["fit-density"]
+
+    def fit_broken(cfg, *inputs):
+        if cfg.density_lambda == 1e-5:
+            raise RuntimeError("broken at lambda 1e-05")
+        return fit.body(cfg, *inputs)
+
+    monkeypatch.setitem(pipeline.STAGES, "fit-density", fit._replace(body=fit_broken))
+    with pytest.raises(RuntimeError, match="^broken at lambda 1e-05$"):
+        pipeline.sweep_lambda(tiny_cfg(), tmp_path, (1e-6, 1e-5))
+    assert pipeline._branches == []
+    assert_no_child_left()
+
+
+def run_forked_sweep(tmp_path, *python_options):
+    """Run a two-worker sweep in a fresh interpreter, BLAS held to one thread;
+    returns what it reports about itself as a dict."""
+    code = textwrap.dedent("""
+        import json, os, sys, threading
+        sys.path.insert(0, sys.argv[1])
+        from ncis import pipeline
+        from ncis.config import parse_config
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        pipeline._sweep_workers = lambda branches: 2
+        threads = []
+        pipeline.sweep_lambda(parse_config(sys.argv[2], environ={}), sys.argv[3], (1e-6, 1e-5),
+                              log=lambda line: threads.append(threading.active_count()))
+        modules = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+        print(json.dumps({"forks": len(forks), "threads": sorted(set(threads)),
+                          "modules": modules}))
+    """)
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-I", *python_options, "-c", code, str(Path(ncis.__file__).parent.parent),
+         TINY, str(tmp_path / "sweep")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
+def test_forked_sweep_imports_no_pool_and_starts_no_thread(tmp_path):
+    # the workers are bare forks fed through pipes: no multiprocessing, no
+    # concurrent.futures, and no feeder or manager thread in the sweep
+    assert run_forked_sweep(tmp_path) == {"forks": 2, "threads": [1], "modules": []}
+
+
+@pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
+def test_sweep_forks_while_its_process_has_one_thread(tmp_path):
+    # Python 3.12 warns, with a DeprecationWarning, when a process with more
+    # than one thread forks; raised as an error here, it would fail the sweep
+    report = run_forked_sweep(tmp_path, "-W", "error::DeprecationWarning")
+    assert report["forks"] == 2
 
 
 class ReadRecorder:

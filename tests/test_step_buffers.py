@@ -41,6 +41,41 @@ class Stop(Exception):
     pass
 
 
+def test_cvpn_blocks_share_block_0_backward_arrays(monkeypatch):
+    # every block keeps its own layer outputs, which its backward pass reads;
+    # the gradient and slope arrays are block 0's, and a step through them
+    # gives the bits of a step without buffers
+    cfg = RunConfig(cvpn_train_batch=16)
+    bench = evalharness.make_toy_benchmark(cfg.seed, 20)
+    model = cvpn.build_cvpn(2, 1, cfg.cvpn_num_blocks, 3, cfg.cvpn_hidden_width, cfg.seed)
+    steps = []
+
+    def first_step(model, x, labels, grads, out):
+        steps.append((x, labels, out))
+        raise Stop
+
+    monkeypatch.setattr(invariant_training, "invariant_loss_and_grad", first_step)
+    with pytest.raises(Stop):
+        invariant_training.train_cvpn(model, bench.train, cfg)
+    monkeypatch.undo()
+    (x, labels, out), = steps
+    assert len(out) == cfg.cvpn_num_blocks > 1
+    for block in out[1:]:
+        for (h, g, slope), (h0, g0, slope0) in zip(block, out[0], strict=True):
+            assert h is not h0 and not np.shares_memory(h, h0)
+            assert g is g0 and slope is slope0
+    # weights away from their zero init, so every block's gradient is live
+    rng = np.random.default_rng(1)
+    for name, value in model.params.items():
+        value[...] = 0.3 * rng.standard_normal(value.shape)
+    passes = []
+    for buffers in (None, out):
+        grads = {name: np.empty_like(value) for name, value in model.params.items()}
+        loss = invariant_training.invariant_loss_and_grad(model, x, labels, grads, buffers)
+        passes.append([np.float64(loss).tobytes()] + [grads[n].tobytes() for n in sorted(grads)])
+    assert passes[0] == passes[1]
+
+
 def second_step_peak_kib(monkeypatch, module, train):
     """How far one training step, after a warm-up step, raises the traced
     peak above the memory held when it starts; a step ends with its Adam
