@@ -8,11 +8,15 @@ which one writer builds the header and one reader checks it.  Loaders
 validate structure eagerly and name the offending field or file.  Each
 format a pipeline stage reads or writes has a ``save_<format>(obj, path)``
 and a ``load_<format>(path)``, which the pipeline driver looks up by name.
+A writer makes its lines one at a time and writes them ``CHUNK`` at a time,
+so its memory does not grow with the table; its checks run before the file
+is opened, and a write that fails part way removes the file.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from itertools import chain, islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -27,6 +31,7 @@ from .ood_classifier import EnergyClassifier, build_energy_classifier
 from .outlier_sampling import OutlierSet
 
 SCHEMA_VERSION = 1
+CHUNK = 1024  # lines joined into one write
 
 
 def _fmt(x) -> str:
@@ -37,19 +42,39 @@ def _fmt(x) -> str:
 # generic record files
 # ---------------------------------------------------------------------------
 
+def _write_lines(path, lines):
+    """Write each of ``lines`` (an iterable of str) and a newline to ``path``,
+    ``CHUNK`` lines per write; the file is removed if a line fails."""
+    lines = iter(lines)
+    with open(path, "w", newline="\n") as f:
+        try:
+            while chunk := list(islice(lines, CHUNK)):
+                f.write("\n".join(chunk) + "\n")
+        except BaseException:
+            f.close()
+            Path(path).unlink(missing_ok=True)
+            raise
+
+
 def write_record(path, kind, meta, arrays):
-    lines = [f"ncis-artifact {kind} {SCHEMA_VERSION}"]
-    for key, value in meta.items():
-        lines.append(f"meta {key} {value}")
+    # checked before the file is opened, so a refused record leaves no file
+    arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
     for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim > 2:
             raise ContractError(f"array '{name}' has unsupported rank {arr.ndim}")
+    _write_lines(path, _record_lines(kind, meta, arrays))
+
+
+def _record_lines(kind, meta, arrays):
+    yield f"ncis-artifact {kind} {SCHEMA_VERSION}"
+    for key, value in meta.items():
+        yield f"meta {key} {value}"
+    for name, arr in arrays.items():
         shape = " ".join(str(s) for s in arr.shape)
-        lines.append(f"array {name} {arr.ndim}{' ' + shape if shape else ''}")
-        lines.extend(" ".join(_fmt(v) for v in row) for row in np.atleast_2d(arr))
-    lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        yield f"array {name} {arr.ndim}{' ' + shape if shape else ''}"
+        for row in np.atleast_2d(arr):
+            yield " ".join(_fmt(v) for v in row)
+    yield "end"
 
 
 def read_record(path, kind):
@@ -272,11 +297,11 @@ def _csv_header(tag, dim):
 
 
 def _write_csv(path, tag, rows, dim=0, comments=()):
-    lines = [f"# ncis-{tag} v{SCHEMA_VERSION}"]
-    lines.extend(f"# {c}" for c in comments)
-    lines.append(",".join(_csv_header(tag, dim)))
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """Write a ``tag`` table: its tag line, a line per comment, the header and
+    one line per row of ``rows``, an iterable of lists of cells."""
+    head = [f"# ncis-{tag} v{SCHEMA_VERSION}", *(f"# {c}" for c in comments),
+            ",".join(_csv_header(tag, dim))]
+    _write_lines(path, chain(head, (",".join(row) for row in rows)))
 
 
 def _read_csv(path, tag):
@@ -324,8 +349,8 @@ def _columns(path, rows, start, stop, dtype=np.float64):
 
 
 def save_embeddings_csv(data: LabeledEmbeddingSet, path):
-    rows = [[str(i), str(int(data.labels[i]))] + [_fmt(v) for v in data.embeddings[i]]
-            for i in range(len(data))]
+    rows = ([str(i), str(int(data.labels[i]))] + [_fmt(v) for v in data.embeddings[i]]
+            for i in range(len(data)))
     _write_csv(path, "embeddings", rows, data.dim, [f"class_count {data.class_count}"])
 
 
@@ -341,7 +366,7 @@ def load_embeddings_csv(path) -> LabeledEmbeddingSet:
 
 def save_points_csv(points, path):
     points = np.asarray(points, dtype=np.float64)
-    rows = [[str(i)] + [_fmt(v) for v in p] for i, p in enumerate(points)]
+    rows = ([str(i)] + [_fmt(v) for v in p] for i, p in enumerate(points))
     _write_csv(path, "points", rows, points.shape[1])
 
 
@@ -351,10 +376,10 @@ def load_points_csv(path) -> np.ndarray:
 
 
 def save_outliers_csv(outliers: OutlierSet, path):
-    rows = [[str(int(outliers.labels[i]))]
+    rows = ([str(int(outliers.labels[i]))]
             + [_fmt(v) for v in outliers.embeddings[i]]
             + [_fmt(outliers.log_densities[i]), _fmt(outliers.lam), _fmt(outliers.q)]
-            for i in range(len(outliers))]
+            for i in range(len(outliers)))
     comments = [f"seed {outliers.seed}",
                 "attempts " + " ".join(str(int(a)) for a in outliers.attempts)]
     _write_csv(path, "outliers", rows, outliers.dim, comments)
@@ -377,7 +402,7 @@ def load_outliers_csv(path) -> OutlierSet:
 
 def save_metrics_csv(rows, path):
     """rows: list of (dataset, method, fpr95, auroc, accuracy)."""
-    body = [[str(d), str(m), _fmt(f), _fmt(a), _fmt(acc)] for d, m, f, a, acc in rows]
+    body = ([str(d), str(m), _fmt(f), _fmt(a), _fmt(acc)] for d, m, f, a, acc in rows)
     _write_csv(path, "metrics", body)
 
 
@@ -389,7 +414,7 @@ def load_metrics_csv(path):
 
 def save_scores_csv(rows, path):
     """rows: list of (index, tag, score, energy)."""
-    body = [[str(i), str(t), _fmt(s), _fmt(e)] for i, t, s, e in rows]
+    body = ([str(i), str(t), _fmt(s), _fmt(e)] for i, t, s, e in rows)
     _write_csv(path, "scores", body)
 
 
@@ -401,7 +426,7 @@ def load_scores_csv(path):
 
 
 def save_loss_history_csv(history, path):
-    body = [[str(int(it)), _fmt(loss)] for it, loss in history]
+    body = ([str(int(it)), _fmt(loss)] for it, loss in history)
     _write_csv(path, "loss-history", body)
 
 
@@ -412,5 +437,5 @@ def load_loss_history_csv(path) -> np.ndarray:
 
 def save_sweep_csv(rows, path):
     """rows: list of (lam, fpr95, auroc, accuracy, mean_invariant_magnitude)."""
-    body = [[_fmt(l), _fmt(f), _fmt(a), _fmt(acc), _fmt(m)] for l, f, a, acc, m in rows]
+    body = ([_fmt(l), _fmt(f), _fmt(a), _fmt(acc), _fmt(m)] for l, f, a, acc, m in rows)
     _write_csv(path, "sweep", body)

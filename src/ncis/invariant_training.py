@@ -69,7 +69,7 @@ def invariant_loss_and_grad(model, x, labels, grads, out=None) -> float:
     against the forward map on the test suite's autodiff tape (``apply_blocks``
     in ``tests/tape.py``).  Each gradient of ``model.params[name]`` is written
     into ``grads[name]``.  ``out`` holds one ``mlp.step_buffers`` per block's
-    translation net; the blocks may share their gradient and slope arrays,
+    translation net; the blocks may share their pair of gradient arrays,
     since each block's input gradient is used up before the next block's
     backward pass starts.
     """
@@ -123,7 +123,7 @@ def train_cvpn(model, data: LabeledEmbeddingSet, cfg: RunConfig):
     history = np.empty((cfg.cvpn_train_iterations, 2))
     # each block keeps its activations for the backward pass, which runs one
     # block at a time and uses up a block's input gradient before the next:
-    # every block borrows block 0's gradient and slope arrays
+    # every block borrows block 0's pair of gradient arrays
     out = [step_buffers(cvpn.translation_layers(model.params, 0), bs)]
     out += [step_buffers(cvpn.translation_layers(model.params, i), bs, backward=out[0])
             for i in range(1, model.num_blocks)]

@@ -8,13 +8,16 @@ forward values agree with the plain pass bit for bit; it is the reference
 the hand-written backward pass is checked against.
 
 A training loop calls the pair once per step, on batches of at most a
-fixed number of rows.  It allocates the step's arrays once, with :func:`step_buffers`, and
-passes them as ``out``: each layer's output, the gradient with respect to
-its input and its input's tanh slope are then written into leading-row
-slices of them instead of into new arrays.  A buffered pass gives the same
-bits as a plain one.  Inference calls the pair without ``out``.  Fresh
-arrays cost page faults: the classifier's 256x64 activations are exactly
-glibc's default 128 KiB mmap threshold.
+fixed number of rows.  It allocates the step's arrays once, with
+:func:`step_buffers`, and passes them as ``out``: each layer's output is
+written into its own array, and the gradients with respect to the layers'
+inputs into one pair of arrays that successive layers use in turn.  A
+layer's input is not read again once its weight gradient has been taken, so
+the buffered backward pass writes the input's tanh slope over it.  A
+buffered pass gives the same bits as a plain one.  Inference calls the pair
+without ``out``, and then the backward pass leaves the inputs untouched.
+Fresh arrays cost page faults: the classifier's 256x64 activations are
+exactly glibc's default 128 KiB mmap threshold.
 """
 
 from __future__ import annotations
@@ -24,27 +27,20 @@ import numpy as np
 
 def step_buffers(layers, rows, backward=None):
     """One training step's arrays for ``layers`` on batches of at most
-    ``rows`` rows: per layer, its output, the gradient with respect to its
-    input, and (past the first layer) its input's tanh slope.
+    ``rows`` rows: ``(outputs, pair)``, where ``outputs`` holds each layer's
+    output array and ``pair`` two flat arrays, each large enough for the
+    gradient with respect to the widest layer input.
 
     ``backward``, the step buffers of a network of the same shapes, lends
-    its gradient and slope arrays instead of new ones: right when the two
-    networks' backward passes never overlap, since each output array holds
-    an activation that the network's backward pass still reads.
+    its pair instead of a new one: right when the two networks' backward
+    passes never overlap, since the pair holds the gradient a backward pass
+    returns until its caller has used it.
     """
+    outputs = [np.empty((rows, w.shape[0])) for w, _ in layers]
     if backward is not None:
-        return [(np.empty((rows, w.shape[0])), g, slope)
-                for (w, _), (_, g, slope) in zip(layers, backward, strict=True)]
-    return [(np.empty((rows, w.shape[0])), np.empty((rows, w.shape[1])),
-             np.empty((rows, w.shape[1])) if i else None)
-            for i, (w, _) in enumerate(layers)]
-
-
-def _slot(out, layer, kind, rows):
-    """The leading ``rows`` rows of a layer's output (``kind`` 0), input
-    gradient (1) or tanh slope (2) array in ``out``, the
-    :func:`step_buffers`; None without buffers, so numpy allocates one."""
-    return None if out is None else out[layer][kind][:rows]
+        return outputs, backward[1]
+    size = rows * max(w.shape[1] for w, _ in layers)
+    return outputs, (np.empty(size), np.empty(size))
 
 
 def tanh_mlp(layers, x, out=None):
@@ -59,7 +55,7 @@ def tanh_mlp(layers, x, out=None):
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         inputs.append(h)
-        h = np.matmul(h, w.T, out=_slot(out, i, 0, len(h)))
+        h = np.matmul(h, w.T, out=None if out is None else out[0][i][:len(h)])
         h += b
         if i < last:
             np.tanh(h, out=h)
@@ -71,8 +67,9 @@ def tanh_mlp_backward(layers, inputs, g, grads, out=None):
 
     ``grads`` holds one ``(dW, db)`` pair of arrays per layer, shaped like the
     layer's parameters; the parameter gradients are written into them.
-    Returns the gradient with respect to the network input, which is an
-    array of ``out`` (the step's :func:`step_buffers`) when given.
+    Returns the gradient with respect to the network input.  With ``out``,
+    the step's :func:`step_buffers`, that gradient is an array of its pair,
+    and each input but the first is overwritten by its tanh slope.
     """
     rows = len(g)
     for i in range(len(layers) - 1, -1, -1):
@@ -81,9 +78,11 @@ def tanh_mlp_backward(layers, inputs, g, grads, out=None):
         h = inputs[i]
         np.matmul(g.T, h, out=gw)
         gb[...] = g.sum(axis=0).reshape(gb.shape)
-        g = np.matmul(g, w, out=_slot(out, i, 1, rows))
+        # layer i's input gradient goes to the pair array layer i + 1's did not use
+        g = np.matmul(g, w, out=None if out is None else
+                      out[1][i % 2][:rows * w.shape[1]].reshape(rows, w.shape[1]))
         if i:
-            slope = np.multiply(h, h, out=_slot(out, i, 2, rows))
+            slope = np.multiply(h, h, out=None if out is None else h)
             np.subtract(1.0, slope, out=slope)
             g *= slope
     return g

@@ -91,20 +91,32 @@ def _energy_of_logits(logits):
 
 Scored = namedtuple("Scored", "labels energies scores")
 
+BLOCK = 256  # rows per stack of one-row passes in score_rows
+
 
 def score_rows(clf, xs) -> Scored:
     """Each row's predicted label (the arg-max class of its logits), energy
     (the negative log-sum-exp of its logits) and score (the scoring head of
-    its energy; larger means more ID), from one pass over the rows of ``xs``.
+    its energy; larger means more ID), for the rows of ``xs``.
 
     Each row goes through its own matrix-vector products (a stack of 1-row
     matmuls), so a row's results do not depend on the rows batched with it;
-    a plain (N, D) matmul would change the last bits with N.
+    a plain (N, D) matmul would change the last bits with N.  The stacks run
+    over blocks of at most ``BLOCK`` rows, so the memory a call holds beyond
+    its three result arrays does not grow with the row count.
     """
-    logits, _ = tanh_mlp(_clf_layers(clf.params), as_rows(xs, clf.dim)[:, None, :])
-    energies = _energy_of_logits(logits)
-    scores, _ = tanh_mlp(_phi_layers(clf.params), energies[..., None])
-    return Scored(np.argmax(logits[:, 0], axis=1), energies[:, 0], scores[:, 0, 0])
+    xs = as_rows(xs, clf.dim)
+    clf_layers, phi_layers = _clf_layers(clf.params), _phi_layers(clf.params)
+    scored = Scored(np.empty(len(xs), dtype=np.intp), np.empty(len(xs)), np.empty(len(xs)))
+    for start in range(0, len(xs), BLOCK):
+        block = slice(start, start + BLOCK)
+        logits, _ = tanh_mlp(clf_layers, xs[block, None, :])
+        energies = _energy_of_logits(logits)
+        scores, _ = tanh_mlp(phi_layers, energies[..., None])
+        np.argmax(logits[:, 0], axis=1, out=scored.labels[block])
+        scored.energies[block] = energies[:, 0]
+        scored.scores[block] = scores[:, 0, 0]
+    return scored
 
 
 def classifier_loss_and_grad(P, id_x, id_y, ood_x, beta, grads, out=None):

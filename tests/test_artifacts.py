@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from ncis import artifacts, cvpn, density, ood_classifier
+from ncis import artifacts, cvpn, density, ood_classifier, pipeline
+from ncis.config import RunConfig
 from ncis.data import LabeledEmbeddingSet
 from ncis.errors import ArtifactError, ContractError
 from ncis.outlier_sampling import OutlierSet
@@ -366,3 +367,58 @@ def test_scores_csv_round_trip(tmp_path):
     path = tmp_path / "scores.csv"
     artifacts.save_scores_csv(rows, path)
     assert artifacts.load_scores_csv(path) == rows
+
+
+def joined_at_once(path, lines):
+    # the writer before streaming: every line joined into one string, one write
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+@pytest.mark.parametrize("chunk", [3, None])
+def test_streamed_writers_match_a_single_write(toy_run, tmp_path, monkeypatch, chunk):
+    # at 3 lines every file spans several chunks; at the default chunk the
+    # scores table of the 1200 held-out and OOD rows spans two
+    if chunk is not None:
+        monkeypatch.setattr(artifacts, "CHUNK", chunk)
+    metrics, scores = pipeline.stage_evaluate(RunConfig(), toy_run.clf_beta1,
+                                              toy_run.bench.heldout, toy_run.bench.ood)
+    objects = {"embeddings_train.csv": toy_run.bench.train, "ood_test.csv": toy_run.bench.ood,
+               "cvpn.txt": toy_run.model, "loss_history.csv": toy_run.history,
+               "bank.txt": toy_run.bank, "outliers.csv": toy_run.outliers,
+               "classifier.txt": toy_run.clf_beta1, "metrics.csv": metrics * 2,
+               "scores.csv": scores, "embeddings_heldout.csv": toy_run.bench.heldout}
+    assert set(objects) == set(pipeline.FORMATS)
+    crossed = []
+    for name, obj in objects.items():
+        save = getattr(artifacts, f"save_{pipeline.FORMATS[name]}")
+        save(obj, tmp_path / name)
+        with monkeypatch.context() as m:
+            m.setattr(artifacts, "_write_lines", joined_at_once)
+            save(obj, tmp_path / f"reference-{name}")
+        data = (tmp_path / name).read_bytes()
+        assert data == (tmp_path / f"reference-{name}").read_bytes(), name
+        if data.count(b"\n") > artifacts.CHUNK:
+            crossed.append(name)
+    assert (crossed == list(objects)) if chunk else ("scores.csv" in crossed)
+
+
+def test_refused_record_leaves_no_file(tmp_path):
+    # the check runs before the file is opened: no file is made, and a file
+    # already at the path keeps its bytes
+    arrays = {"w": np.zeros(2), "t": np.zeros((2, 2, 2))}
+    path, kept = tmp_path / "model.txt", tmp_path / "kept.txt"
+    kept.write_text("earlier bytes\n")
+    for target in (path, kept):
+        with pytest.raises(ContractError, match="rank 3"):
+            artifacts.write_record(target, "cvpn", {"dim": 2}, arrays)
+    assert not path.exists()
+    assert kept.read_text() == "earlier bytes\n"
+
+
+def test_a_write_failing_part_way_removes_the_file(tmp_path):
+    # the bad row comes after the first chunk has been written
+    path = tmp_path / "scores.csv"
+    rows = [(i, "OOD", 0.5, -1.0) for i in range(artifacts.CHUNK + 10)] + [(0, "OOD")]
+    with pytest.raises(ValueError):
+        artifacts.save_scores_csv(rows, path)
+    assert not path.exists()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,30 @@ def test_trained_scores_separate_id_from_outliers(toy_run):
 def test_score_dimension_checked(toy_run):
     with pytest.raises(ContractError):
         oc.score_rows(toy_run.clf_beta1, np.zeros((1, 3)))
+
+
+def score_peak_bytes(clf, xs):
+    """How far ``score_rows(clf, xs)`` raises the traced peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        oc.score_rows(clf, xs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_memory_grows_only_by_its_results(toy_run):
+    # ten times the rows costs only the three result arrays' growth, 8 bytes
+    # per row each, give or take a few hundred bytes of interpreter objects;
+    # one (N, 1, 64) activation alone would grow by 512 bytes per row
+    rng = np.random.default_rng(8)
+    small, large = rng.uniform(-2, 2, (2560, 2)), rng.uniform(-2, 2, (25600, 2))
+    for xs in (small, large):  # the first calls of each size fill lazy caches
+        score_peak_bytes(toy_run.clf_beta1, xs)
+    growth = (score_peak_bytes(toy_run.clf_beta1, large)
+              - score_peak_bytes(toy_run.clf_beta1, small))
+    assert growth <= 3 * 8 * (len(large) - len(small)) + 4096, growth
 
 
 # training ------------------------------------------------------------------

@@ -165,20 +165,29 @@ def test_beta_zero_reports_energy_method(tmp_path):
 
 @pytest.mark.parametrize("beta", [0, 1])
 def test_evaluate_runs_the_classifier_once(toy_run, monkeypatch, beta):
-    # one pass through the classifier and one through the scoring head, over
-    # the held-out and OOD rows together
-    calls = []
+    # every held-out and OOD row goes through the classifier and then the
+    # scoring head exactly once, in passes of at most BLOCK rows
+    passes = {"clf.w1": [], "phi.w1": []}
     tanh_mlp = ood_classifier.tanh_mlp
 
-    def count(*args, **kwargs):
-        calls.append(len(args[1]))
-        return tanh_mlp(*args, **kwargs)
+    def record(layers, x, *args, **kwargs):
+        name, = (n for n in passes if layers[0][0] is clf.params[n])
+        passes[name].append(x.copy())
+        return tanh_mlp(layers, x, *args, **kwargs)
 
-    monkeypatch.setattr(ood_classifier, "tanh_mlp", count)
+    monkeypatch.setattr(ood_classifier, "tanh_mlp", record)
     clf = toy_run.clf_beta1 if beta else toy_run.clf_beta0
     metrics, rows = pipeline.stage_evaluate(RunConfig(), clf, toy_run.bench.heldout,
                                             toy_run.bench.ood)
-    assert calls == [len(rows)] * 2
+    blocks = -(-len(rows) // ood_classifier.BLOCK)
+    assert blocks > 1
+    for name, xs in passes.items():
+        assert len(xs) == blocks, name
+        assert all(len(x) <= ood_classifier.BLOCK for x in xs), name
+    rows_in = np.concatenate([toy_run.bench.heldout.embeddings, toy_run.bench.ood])
+    assert np.concatenate(passes["clf.w1"])[:, 0].tobytes() == rows_in.tobytes()
+    energies = np.array([energy for _, _, _, energy in rows])
+    assert np.concatenate(passes["phi.w1"])[:, 0, 0].tobytes() == energies.tobytes()
     assert metrics[0][1] == ("ncis" if beta else "energy")
 
 

@@ -27,10 +27,11 @@ def test_buffered_pass_equals_plain_pass(rows):
     passes = []
     for buffers in (None, out):
         y, inputs = mlp.tanh_mlp(layers, x, buffers)
+        # the buffered backward pass writes the tanh slopes over the inputs
+        forward = [y.copy(), *(h.copy() for h in inputs)]
         grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
         g_in = mlp.tanh_mlp_backward(layers, inputs, g, grads, buffers)
-        passes.append([y.copy(), *(h.copy() for h in inputs), g_in.copy(),
-                       *(a.copy() for pair in grads for a in pair)])
+        passes.append([*forward, g_in.copy(), *(a.copy() for pair in grads for a in pair)])
     plain, buffered = passes
     assert len(plain) == len(buffered)
     for a, b in zip(plain, buffered):
@@ -43,8 +44,8 @@ class Stop(Exception):
 
 def test_cvpn_blocks_share_block_0_backward_arrays(monkeypatch):
     # every block keeps its own layer outputs, which its backward pass reads;
-    # the gradient and slope arrays are block 0's, and a step through them
-    # gives the bits of a step without buffers
+    # the pair of gradient arrays is block 0's, and a step through it gives
+    # the bits of a step without buffers
     cfg = RunConfig(cvpn_train_batch=16)
     bench = evalharness.make_toy_benchmark(cfg.seed, 20)
     model = cvpn.build_cvpn(2, 1, cfg.cvpn_num_blocks, 3, cfg.cvpn_hidden_width, cfg.seed)
@@ -60,10 +61,12 @@ def test_cvpn_blocks_share_block_0_backward_arrays(monkeypatch):
     monkeypatch.undo()
     (x, labels, out), = steps
     assert len(out) == cfg.cvpn_num_blocks > 1
-    for block in out[1:]:
-        for (h, g, slope), (h0, g0, slope0) in zip(block, out[0], strict=True):
-            assert h is not h0 and not np.shares_memory(h, h0)
-            assert g is g0 and slope is slope0
+    (outputs0, pair0), = out[:1]
+    for outputs, pair in out[1:]:
+        assert pair is pair0
+        for h, h0 in zip(outputs, outputs0, strict=True):
+            assert not np.shares_memory(h, h0)
+            assert not any(np.shares_memory(h, a) for a in pair0)
     # weights away from their zero init, so every block's gradient is live
     rng = np.random.default_rng(1)
     for name, value in model.params.items():
@@ -74,6 +77,34 @@ def test_cvpn_blocks_share_block_0_backward_arrays(monkeypatch):
         loss = invariant_training.invariant_loss_and_grad(model, x, labels, grads, buffers)
         passes.append([np.float64(loss).tobytes()] + [grads[n].tobytes() for n in sorted(grads)])
     assert passes[0] == passes[1]
+
+
+def arrays_in(buffers):
+    if isinstance(buffers, np.ndarray):
+        return [buffers]
+    return [a for part in buffers or () for a in arrays_in(part)]
+
+
+def test_classifier_step_buffers_hold_four_hidden_arrays(monkeypatch):
+    # the classifier's two hidden outputs and one gradient pair are rows x
+    # hidden width each; the logits and the scoring head's arrays, a few
+    # columns wide, are the small layers
+    cfg = RunConfig()
+    bench = evalharness.make_toy_benchmark(cfg.seed, 100)
+    steps = []
+
+    def first_step(P, id_x, id_y, ood_x, beta, grads, out):
+        steps.append(out)
+        raise Stop
+
+    monkeypatch.setattr(ood_classifier, "classifier_loss_and_grad", first_step)
+    with pytest.raises(Stop):
+        ood_classifier.train_energy_classifier(bench.train, bench.heldout.embeddings + 0.5, cfg)
+    buffers = arrays_in(steps[0])
+    rows = 2 * cfg.classifier_batch
+    small = bench.train.class_count + 3 * cfg.classifier_phi_hidden + 1
+    assert len({id(a) for a in buffers}) == len(buffers)
+    assert sum(a.nbytes for a in buffers) <= 8 * rows * (4 * cfg.classifier_hidden_width + small)
 
 
 def second_step_peak_kib(monkeypatch, module, train):
