@@ -412,17 +412,21 @@ def load_metrics_csv(path):
     return [(r[0], r[1], *(float(v) for v in row)) for r, row in zip(rows, values)]
 
 
-def save_scores_csv(rows, path):
-    """rows: list of (index, tag, score, energy)."""
-    body = ([str(i), str(t), _fmt(s), _fmt(e)] for i, t, s, e in rows)
+def save_scores_csv(columns, path):
+    """columns: (tags, scores, energies), each with one entry per row; the
+    rows are indexed from 0."""
+    body = ([str(i), str(t), _fmt(s), _fmt(e)]
+            for i, (t, s, e) in enumerate(zip(*columns, strict=True)))
     _write_csv(path, "scores", body)
 
 
 def load_scores_csv(path):
+    """(tags, scores, energies) of a scores table whose rows are indexed 0..N-1."""
     _, _, rows = _read_csv(path, "scores")
-    index = _columns(path, rows, 0, 1, np.int64)[:, 0]
+    if not np.array_equal(_columns(path, rows, 0, 1, np.int64)[:, 0], np.arange(len(rows))):
+        raise ArtifactError(f"{path}: rows are not indexed 0..N-1 in order")
     values = _columns(path, rows, 2, 4)
-    return [(int(i), r[1], float(s), float(e)) for i, r, (s, e) in zip(index, rows, values)]
+    return np.array([r[1] for r in rows], dtype=str), values[:, 0], values[:, 1]
 
 
 def save_loss_history_csv(history, path):

@@ -16,12 +16,10 @@ something it reads changes.
 One call parses each file at most once, and no file it wrote: every object
 ``_run_stage`` loads or saves is kept under the file's name and sha256 and
 handed to each later stage that reads a file with those bytes.  A sweep
-hands its shared stages' objects to every branch: it lists each branch with
-them in ``_branches``, and one function runs a branch by its index there,
-inline or in a worker the sweep forks itself, which inherits the list and is
-sent only indices, through a pipe of its own.  This is right because saving
-and loading an object gives it back field for field, and because no body
-changes its inputs; the test suite checks both.
+hands its shared stages' objects to every branch, whether it runs inline
+or in a child the sweep forks for it, which inherits them.  This is right
+because saving and loading an object gives it back field for field, and
+because no body changes its inputs; the test suite checks both.
 
 ``manifest.json`` holds one record per completed stage: its key and the
 digests of the files it read and wrote.  A stage is skipped when its record
@@ -49,7 +47,6 @@ import sys
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,6 +63,15 @@ def _manifest_path(out_dir):
     return Path(out_dir) / MANIFEST_NAME
 
 
+def _is_record(record):
+    """Whether ``record`` has a stage record's shape: a string key, and inputs
+    and outputs mapping names (JSON keys are strings) to string digests."""
+    return (isinstance(record, dict) and isinstance(record.get("key"), str)
+            and all(isinstance(record.get(field), dict)
+                    and all(isinstance(digest, str) for digest in record[field].values())
+                    for field in ("inputs", "outputs")))
+
+
 def _load_manifest(out_dir):
     path = _manifest_path(out_dir)
     if not path.exists():
@@ -74,7 +80,8 @@ def _load_manifest(out_dir):
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ArtifactError(f"{path}: corrupt manifest") from err
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+    records = manifest.get("stages") if isinstance(manifest, dict) else None
+    if not isinstance(records, dict) or not all(map(_is_record, records.values())):
         raise ArtifactError(f"{path}: corrupt manifest")
     return manifest
 
@@ -205,9 +212,8 @@ def stage_evaluate(cfg: RunConfig, clf, heldout, ood):
     auc = evalharness.auroc(samples)
     acc = evalharness.classification_accuracy(scored.labels[:n], heldout.labels)
     dataset = "toy" if cfg.embed_source != "csv" else "csv"
-    tags = [str(int(label)) for label in heldout.labels] + ["OOD"] * len(ood)
-    rows = zip(itertools.count(), tags, scores, scored.energies)
-    return [(dataset, method, fpr, auc, acc)], list(rows)
+    tags = np.array([str(int(label)) for label in heldout.labels] + ["OOD"] * len(ood), dtype=str)
+    return [(dataset, method, fpr, auc, acc)], (tags, scores, scored.energies)
 
 
 # a stage: its body, the RunConfig fields the body reads, the artifacts the
@@ -315,7 +321,7 @@ def _checked_key(stage, cfg: RunConfig, out_dir: Path, manifest):
         raise PipelineError(f"stage '{stage}': {err}") from err
     key = stage_key(stage, cfg, inputs)
     record = manifest["stages"].get(stage)
-    if record is not None and record.get("key") != key:
+    if record is not None and record["key"] != key:
         raise ArtifactError(
             f"stage '{stage}': its artifacts in {out_dir} were produced under a "
             f"different configuration or from different inputs; refusing to reuse "
@@ -360,7 +366,7 @@ def run_pipeline(cfg: RunConfig, out_dir, stages=None, log=None, objects=None):
         record = manifest["stages"].get(stage)
         if record is not None and all(p.exists() for p in outputs):
             for path in outputs:
-                if _file_digest(path) != record.get("outputs", {}).get(path.name):
+                if _file_digest(path) != record["outputs"].get(path.name):
                     raise ArtifactError(
                         f"stage '{stage}': {path} differs from the file the stage wrote; "
                         f"refusing to reuse or overwrite it (use a fresh output directory)")
@@ -448,23 +454,17 @@ def _sweep_workers(branches):
     return min(branches, max(1, cpus // blas))
 
 
-# the sweep's branches, each (cfg, directory, stages, shared objects), while
-# ``sweep_lambda`` runs them; a worker forked by it inherits the list (see
-# ``_branch_results``), and the sweep empties it before returning.  One list
-# per process, so a process runs one sweep at a time.
-_branches = []
-
-
-def _sweep_branch(index):
-    """Branch ``index`` of ``_branches``: run its stages in its directory and
-    read back its sweep row.  Its shared objects are the shared stages' (see
-    ``_load``); the branch adds its own to a copy, which ends with it.
+def _sweep_branch(branch):
+    """Run a sweep branch, ``(cfg, directory, stages, shared objects)``: its
+    stages in its directory, then read back its sweep row.  The shared objects
+    are the shared stages' (see ``_load``); the branch adds its own to a copy,
+    which ends with it.
 
     Returns ``(row, log lines, error)``.  When a stage fails, ``row`` is None
     and ``error`` is its ``NcisError``, so the caller can print the lines
     written before the failure and then raise it.
     """
-    cfg, sub_dir, stages, shared = _branches[index]
+    cfg, sub_dir, stages, shared = branch
     lines = []
     objects = dict(shared)
     try:
@@ -477,124 +477,91 @@ def _sweep_branch(index):
     return (cfg.density_lambda, fpr, auc, acc, magnitude), lines, None
 
 
-def _serve_branches(tasks, results, parent_ends):
-    """A forked worker's life: close the parent's ends of the workers' pipes
-    (``parent_ends``), then run each branch whose index arrives on the
-    ``tasks`` pipe, one per line, and pickle its result into the ``results``
-    pipe, until ``tasks`` closes.  It leaves through ``os._exit``, never back
-    into the sweep's frames."""
-    status = 1
+def _fork_branch(branch, siblings):
+    """Fork a child that runs ``_sweep_branch(branch)`` and pickles its result
+    into a pipe of its own; returns the child's pid and the pipe's read end.
+
+    The child first closes ``siblings``, the read ends of the other children's
+    pipes, which it inherits: were one left open there, a sibling writing a
+    result larger than a pipe's buffer would stay blocked after the parent
+    closed its own copy, and the parent reaping it would wait, until this
+    child ended.  The child leaves through ``os._exit``, never back into the
+    sweep's frames.
+    """
+    read_end, write_end = os.pipe()
     try:
-        for fd in parent_ends:
-            os.close(fd)
-        with open(tasks, "rb") as tasks, open(results, "wb") as results:
-            for line in tasks:
-                try:
-                    result = _sweep_branch(int(line))
-                except Exception as err:  # the parent raises it, as an inline branch would
-                    result = None, [], err
-                pickle.dump(result, results)
-                results.flush()
-        status = 0
-    finally:
-        os._exit(status)
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            for pipe in siblings:
+                pipe.close()
+            try:
+                result = _sweep_branch(branch)
+            except Exception as err:  # the parent raises it, as an inline branch would
+                result = None, [], err
+            with open(write_end, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
-def _lost_worker(index, pid):
-    """The result of branch ``index`` when its worker ``pid`` ended without
-    one: a ``PipelineError`` naming the value and the worker's exit status."""
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    lam = _branches[index][0].density_lambda
-    return None, [], PipelineError(f"lambda {lam!r}: its sweep worker ended without a "
-                                   f"result (exit status {status})")
-
-
-def _branch_results(workers):
-    """The result of each of ``_branches`` (see ``_sweep_branch``), in
-    index order.
+def _branch_results(branches, workers):
+    """The result of each of ``branches`` (see ``_sweep_branch``), in order.
 
     With two workers or more, where fork is available and safe (not on
-    macOS), the branches run in that many processes forked from this one,
-    each with a pipe of its own each way: a worker is sent the next unstarted
-    index when it returns a result, and none once some branch has failed.
-    A worker that ends without a result fails its branch.  Every worker is
-    reaped when the results end or the caller closes the generator; one
-    still running its branch finishes it first.  Otherwise the branches run
-    here, one at a time.
+    macOS), each branch runs in a child forked from this process for it (see
+    ``_fork_branch``), at most ``workers`` at once: when a child returns its
+    result, the next unstarted branch gets a child, and none does once some
+    result carries an error.  A child that ends without a result fails its
+    branch.  Every child is reaped when the results end or the caller closes
+    the generator; one still running its branch finishes it first.
+    Otherwise the branches run here, one at a time.
     """
     if workers < 2 or sys.platform == "darwin" or not hasattr(os, "fork"):
-        yield from map(_sweep_branch, range(len(_branches)))
+        yield from map(_sweep_branch, branches)
         return
-    unstarted = iter(range(len(_branches)))
+    unstarted = iter(range(len(branches)))
     failed = False
-    running = {}  # each worker's result pipe -> the worker
+    running = {}  # each child's result pipe -> (its branch's index, its pid)
     results = {}
-
-    def dispatch(worker):
-        worker.index = None if failed else next(unstarted, None)
-        if worker.index is None:
-            worker.tasks.close()
-        else:
-            worker.tasks.write(f"{worker.index}\n")
-            worker.tasks.flush()
-
     try:
-        parent_ends = []
-        for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            parent_ends += [task_w, result_r]
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in (task_r, task_w, result_r, result_w):
-                    os.close(fd)
-                raise
-            if pid == 0:
-                _serve_branches(task_r, result_w, parent_ends)
-            os.close(task_r)
-            os.close(result_w)
-            running[open(result_r, "rb")] = SimpleNamespace(pid=pid, tasks=open(task_w, "w"))
-        for worker in running.values():
-            dispatch(worker)
-        for index in range(len(_branches)):
+        for index in range(len(branches)):
             while index not in results:
-                busy = [pipe for pipe, worker in running.items() if worker.index is not None]
-                if not busy:
+                for start in itertools.islice(unstarted, 0 if failed else workers - len(running)):
+                    pid, pipe = _fork_branch(branches[start], running)
+                    running[pipe] = start, pid
+                if not running:
                     return
-                for pipe in select.select(busy, [], [])[0]:
-                    worker = running[pipe]
-                    try:
-                        results[worker.index] = pickle.load(pipe)
-                    except (EOFError, pickle.UnpicklingError):
-                        del running[pipe]
-                        pipe.close()
-                        worker.tasks.close()
-                        results[worker.index] = _lost_worker(worker.index, worker.pid)
-                    failed = failed or results[worker.index][2] is not None
-                    if pipe in running:
-                        dispatch(worker)
+                for pipe in select.select(list(running), [], [])[0]:
+                    done, pid = running.pop(pipe)
+                    with pipe:
+                        try:
+                            result = pickle.load(pipe)
+                        except (EOFError, pickle.UnpicklingError):
+                            result = None
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if result is None:
+                        lam = branches[done][0].density_lambda
+                        result = None, [], PipelineError(
+                            f"lambda {lam!r}: its sweep worker ended without a result "
+                            f"(exit status {status})")
+                    results[done] = result
+                    failed = failed or result[2] is not None
             yield results.pop(index)
     finally:
-        for pipe, worker in running.items():
-            worker.tasks.close()
+        for pipe in running:
             pipe.close()
-        for worker in running.values():
-            os.waitpid(worker.pid, 0)
-
-
-def _collect_rows(results, log):
-    """Sweep rows from branch results in value order, printing each branch's
-    lines through ``log``; raises the first branch error met."""
-    rows = []
-    for row, lines, err in results:
-        if log:
-            for line in lines:
-                log(line)
-        if err is not None:
-            raise err
-        rows.append(row)
-    return rows
+        for _, pid in running.values():
+            os.waitpid(pid, 0)
 
 
 def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
@@ -608,22 +575,16 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
     for byte that of a separate run at its value.  Every branch is handed
     the objects the shared stages wrote, so it parses none of their files.
 
-    The per-value branches (fit-density onward) are independent.  The sweep
-    lists them in ``_branches`` and runs ``_sweep_branch`` on their indices
-    (see ``_branch_results``): in worker processes it forks with ``os.fork``,
-    one per usable CPU left after BLAS threads and at most one per value
-    (see ``_sweep_workers``), or inline when that leaves one worker or fork
-    is unavailable or unsafe.  Each worker is sent the next unstarted index
-    through its own pipe when it returns a result, and pickles each result
-    back through another.  Each branch's log lines are passed to ``log``
-    when it finishes, in value order, so the lines and their order match a
+    The per-value branches (fit-density onward) are independent: each runs
+    in a child forked for it, or inline (see ``_branch_results`` and
+    ``_sweep_workers``).  Each branch's log lines are passed to ``log`` when
+    it finishes, in value order, so the lines and their order match a
     one-at-a-time sweep.  A failing value raises its ``PipelineError`` once
     every earlier value has finished; branches already started run to
-    completion, but values still waiting for a worker may not run.  A worker
-    that dies, or whose pipe ends before its result, fails its value with a
-    ``PipelineError`` naming the value and the worker's exit status.  Every
-    worker is reaped with ``os.waitpid`` before the call returns or raises,
-    and ``_branches`` is empty again then.
+    completion, but values not yet started may not run.  A child that dies,
+    or whose pipe ends before its result, fails its value with a
+    ``PipelineError`` naming the value and the child's exit status.  Every
+    child is reaped before the call returns or raises.
     """
     lambdas = list(lambdas)
     names = _sweep_dir_names(lambdas)
@@ -637,11 +598,15 @@ def sweep_lambda(cfg: RunConfig, out_dir, lambdas=DEFAULT_SWEEP, log=None):
         _copy_shared_stages(dirs[0], sub_dir)
     order = list(STAGES)
     stages = [order[len(SWEEP_SHARED_STAGES):]] + [order] * (len(dirs) - 1)
-    _branches[:] = zip(cfgs, dirs, stages, itertools.repeat(shared))
-    try:
-        with contextlib.closing(_branch_results(_sweep_workers(len(_branches)))) as results:
-            rows = _collect_rows(results, log)
-    finally:
-        _branches.clear()
+    branches = list(zip(cfgs, dirs, stages, itertools.repeat(shared)))
+    rows = []
+    with contextlib.closing(_branch_results(branches, _sweep_workers(len(branches)))) as results:
+        for row, lines, err in results:
+            if log:
+                for line in lines:
+                    log(line)
+            if err is not None:
+                raise err
+            rows.append(row)
     artifacts.save_sweep_csv(rows, out_dir / "sweep_metrics.csv")
     return rows

@@ -9,6 +9,8 @@ from ncis.data import LabeledEmbeddingSet
 from ncis.errors import ArtifactError, ContractError
 from ncis.outlier_sampling import OutlierSet
 
+from conftest import assert_same
+
 
 def test_cvpn_round_trip_identical_outputs(trained_model, tmp_path):
     path = tmp_path / "model.txt"
@@ -363,10 +365,21 @@ def test_bank_refuses_train_logdens_not_an_ascending_vector(toy_run, tmp_path, e
 
 
 def test_scores_csv_round_trip(tmp_path):
-    rows = [(0, "2", 0.5, -1.25), (1, "OOD", -3.0, 0.125)]
+    columns = (np.array(["2", "OOD"]), np.array([0.5, -3.0]), np.array([-1.25, 0.125]))
     path = tmp_path / "scores.csv"
-    artifacts.save_scores_csv(rows, path)
-    assert artifacts.load_scores_csv(path) == rows
+    artifacts.save_scores_csv(columns, path)
+    assert path.read_text().splitlines()[2:] == ["0,2,0.5,-1.25", "1,OOD,-3.0,0.125"]
+    assert_same(artifacts.load_scores_csv(path), columns)
+
+
+def test_scores_csv_refuses_rows_out_of_index_order(tmp_path):
+    # the index column is implicit in the loaded columns, so a table whose
+    # rows it does not number 0..N-1 would not be saved back byte for byte
+    path = tmp_path / "scores.csv"
+    artifacts.save_scores_csv((np.array(["0", "OOD"]), np.zeros(2), np.ones(2)), path)
+    path.write_text(path.read_text().replace("\n1,OOD,", "\n2,OOD,"))
+    with pytest.raises(ArtifactError, match="scores.csv: rows are not indexed 0..N-1 in order"):
+        artifacts.load_scores_csv(path)
 
 
 def joined_at_once(path, lines):
@@ -416,9 +429,10 @@ def test_refused_record_leaves_no_file(tmp_path):
 
 
 def test_a_write_failing_part_way_removes_the_file(tmp_path):
-    # the bad row comes after the first chunk has been written
+    # the energies run out after the first chunk has been written
     path = tmp_path / "scores.csv"
-    rows = [(i, "OOD", 0.5, -1.0) for i in range(artifacts.CHUNK + 10)] + [(0, "OOD")]
+    n = artifacts.CHUNK + 10
+    columns = (np.full(n, "OOD"), np.full(n, 0.5), np.full(n - 1, -1.0))
     with pytest.raises(ValueError):
-        artifacts.save_scores_csv(rows, path)
+        artifacts.save_scores_csv(columns, path)
     assert not path.exists()

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import shutil
 import sys
 from dataclasses import replace
@@ -177,16 +178,15 @@ def test_evaluate_runs_the_classifier_once(toy_run, monkeypatch, beta):
 
     monkeypatch.setattr(ood_classifier, "tanh_mlp", record)
     clf = toy_run.clf_beta1 if beta else toy_run.clf_beta0
-    metrics, rows = pipeline.stage_evaluate(RunConfig(), clf, toy_run.bench.heldout,
-                                            toy_run.bench.ood)
-    blocks = -(-len(rows) // ood_classifier.BLOCK)
+    metrics, (tags, _, energies) = pipeline.stage_evaluate(
+        RunConfig(), clf, toy_run.bench.heldout, toy_run.bench.ood)
+    blocks = -(-len(tags) // ood_classifier.BLOCK)
     assert blocks > 1
     for name, xs in passes.items():
         assert len(xs) == blocks, name
         assert all(len(x) <= ood_classifier.BLOCK for x in xs), name
     rows_in = np.concatenate([toy_run.bench.heldout.embeddings, toy_run.bench.ood])
     assert np.concatenate(passes["clf.w1"])[:, 0].tobytes() == rows_in.tobytes()
-    energies = np.array([energy for _, _, _, energy in rows])
     assert np.concatenate(passes["phi.w1"])[:, 0, 0].tobytes() == energies.tobytes()
     assert metrics[0][1] == ("ncis" if beta else "energy")
 
@@ -385,6 +385,26 @@ def test_cli_corrupt_bank_fails_with_stage_tag(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: stage 'sample-outliers'" in err and "class_count" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda records: records.update(embed=1),
+    lambda records: records["embed"].update(outputs=list(records["embed"]["outputs"])),
+    lambda records: records["embed"]["outputs"].update({"ood_test.csv": None}),
+    lambda records: records["embed"].update(inputs=[]),
+    lambda records: records["embed"].pop("key"),
+], ids=["not-an-object", "outputs-a-list", "digest-not-a-string", "inputs-a-list", "no-key"])
+def test_cli_malformed_manifest_record_fails_as_corrupt(tmp_path, capsys, edit):
+    cfg_file = write_tiny_config(tmp_path)
+    out = tmp_path / "out"
+    pipeline.run_pipeline(tiny_cfg(), out, stages=["embed"])
+    path = out / pipeline.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    edit(manifest["stages"])
+    path.write_text(json.dumps(manifest))
+    rc = cli.main(["embed", "--config", str(cfg_file), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: corrupt manifest\n"
 
 
 def test_cli_bad_lambdas(tmp_path, capsys):

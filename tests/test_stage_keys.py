@@ -222,24 +222,64 @@ def test_failing_sweep_raises_what_the_first_value_alone_raises(tmp_path, monkey
     assert len(pipeline.sweep_lambda(tiny_cfg(), tmp_path / "fresh")) == len(pipeline.DEFAULT_SWEEP)
 
 
+def pipeline_state():
+    """The pipeline module's names, each list or dict among them copied."""
+    return {name: copy.copy(value) if isinstance(value, (list, dict)) else None
+            for name, value in vars(pipeline).items()}
+
+
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_leaves_no_branch_state_behind(tmp_path, monkeypatch, workers, fails):
-    # the branch list is filled while the sweep runs, inline or forked, and
-    # emptied, with every worker gone, whether the sweep returns or raises
-    listed = []
-    monkeypatch.setattr(pipeline, "_sweep_workers",
-                        lambda branches: listed.append(len(pipeline._branches)) or workers)
+    # a sweep, inline or forked, leaves the module's names, lists and dicts
+    # as it found them, with every worker gone, whether it returns or raises
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: workers)
     cfg = tiny_cfg("sample.max_attempts = 1\n" if fails else "")
     lambdas = (1e-6, 1e-5)
+    before = pipeline_state()
     if fails:
         with pytest.raises(PipelineError, match="^stage 'sample-outliers'"):
             pipeline.sweep_lambda(cfg, tmp_path, lambdas)
     else:
         assert len(pipeline.sweep_lambda(cfg, tmp_path, lambdas)) == len(lambdas)
-    assert listed == [len(lambdas)]
-    assert pipeline._branches == []
+    assert pipeline_state() == before
     assert_no_child_left()
+
+
+@pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
+def test_forked_sweep_runs_at_most_its_workers_at_once(tmp_path, monkeypatch):
+    # each branch records its process and the time from its first stage's
+    # start to its last stage's end: four values on two workers all run, in
+    # processes other than the sweep's, and no three of them overlap
+    monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: 2)
+    times = tmp_path / "times"
+    times.mkdir()
+    for stage, mark in (("fit-density", "start"), ("evaluate", "end")):
+        spec = pipeline.STAGES[stage]
+
+        def timed(cfg, *inputs, body=spec.body, mark=mark):
+            start = time.monotonic()
+            outputs = body(cfg, *inputs)
+            at = start if mark == "start" else time.monotonic()
+            (times / f"{cfg.density_lambda:.0e}-{mark}").write_text(f"{os.getpid()} {at!r}")
+            return outputs
+
+        monkeypatch.setitem(pipeline.STAGES, stage, spec._replace(body=timed))
+    lambdas = (1e-6, 1e-5, 1e-4, 1e-3)
+    assert len(pipeline.sweep_lambda(tiny_cfg(), tmp_path / "sweep", lambdas)) == len(lambdas)
+    assert_no_child_left()
+
+    def recorded(lam, mark):
+        pid, at = (times / f"{lam:.0e}-{mark}").read_text().split()
+        return int(pid), float(at)
+
+    spans = []
+    for lam in lambdas:
+        (pid, start), (end_pid, end) = recorded(lam, "start"), recorded(lam, "end")
+        assert pid == end_pid != os.getpid()
+        spans.append((start, end))
+    for start, _ in spans:
+        assert sum(s <= start < e for s, e in spans) <= 2
 
 
 @pytest.mark.skipif(not FORKS, reason="the branches run inline without fork")
@@ -288,12 +328,13 @@ def test_sweep_worker_that_dies_fails_its_value(tmp_path, monkeypatch):
 
     monkeypatch.setitem(pipeline.STAGES, "fit-density", fit._replace(body=fit_dying))
     messages = []
+    before = pipeline_state()
     with pytest.raises(PipelineError,
                        match=r"^lambda 0\.0001: its sweep worker ended without a result "
                              r"\(exit status 3\)$"):
         pipeline.sweep_lambda(tiny_cfg(), tmp_path, log=messages.append)
     assert messages == one_at_a_time_lines(pipeline.DEFAULT_SWEEP[:2])
-    assert pipeline._branches == []
+    assert pipeline_state() == before
     assert_no_child_left()
 
 
@@ -310,9 +351,10 @@ def test_sweep_raises_an_unexpected_branch_error_as_itself(tmp_path, monkeypatch
         return fit.body(cfg, *inputs)
 
     monkeypatch.setitem(pipeline.STAGES, "fit-density", fit._replace(body=fit_broken))
+    before = pipeline_state()
     with pytest.raises(RuntimeError, match="^broken at lambda 1e-05$"):
         pipeline.sweep_lambda(tiny_cfg(), tmp_path, (1e-6, 1e-5))
-    assert pipeline._branches == []
+    assert pipeline_state() == before
     assert_no_child_left()
 
 
