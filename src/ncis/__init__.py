@@ -2,9 +2,10 @@
 
 The pipeline: embed labeled samples, fit a class-conditioned
 volume-preserving bijection whose leading outputs vanish on each class,
-model the mapped data with regularized per-class Gaussians, rejection-sample
-low-likelihood outliers and map them back, then train an energy-regularized
-classifier whose learned scoring head separates ID from OOD.
+model the mapped data with regularized per-class Gaussians, draw
+low-likelihood outliers exactly from their tails and map them back, then
+train an energy-regularized classifier whose learned scoring head separates
+ID from OOD.
 """
 
 from .config import RunConfig, load_config, parse_config
@@ -21,7 +22,7 @@ from .evalharness import ToyBenchmark, auroc, fpr_at_tpr, make_toy_benchmark
 from .invariant_training import invariant_loss, select_num_invariants, train_cvpn
 from .ood_classifier import (EnergyClassifier, build_energy_classifier, score_rows,
                              train_energy_classifier)
-from .outlier_sampling import OutlierSet, rejection_sample_invariant, synthesize_outliers
+from .outlier_sampling import OutlierSet, synthesize_outliers, tail_sample_invariant
 from .pipeline import run_pipeline, sweep_lambda
 
 __version__ = "0.1.0"

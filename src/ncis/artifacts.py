@@ -159,7 +159,7 @@ def _field(path, fields, key, cast=int):
         return cast(fields[key])
     except KeyError as err:
         raise ArtifactError(f"{path}: missing field '{key}'") from err
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ArtifactError(f"{path}: field '{key}' is malformed: {fields[key]!r}") from err
 
 
@@ -340,7 +340,7 @@ def _columns(path, rows, start, stop, dtype=np.float64):
     cast = int if dtype == np.int64 else float
     try:
         values = np.array([[cast(v) for v in r[start:stop]] for r in rows], dtype=dtype)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ArtifactError(f"{path}: malformed row") from err
     values = values.reshape(len(rows), stop - start)
     if not np.isfinite(values).all():

@@ -103,7 +103,6 @@ class RunConfig:
     density_lambda: float = _key_field(1e-5, "> 0")
     sample_n_per_class: int = _key_field(1000, ">= 1")
     sample_q: float = _key_field(0.05, "in (0, 1)")
-    sample_max_attempts: int = _key_field(0, ">= 0")
     classifier_beta: float = _key_field(1.0, ">= 0")
     classifier_epochs: int = _key_field(800, ">= 1")
     classifier_lr: float = _key_field(3e-3, "> 0")

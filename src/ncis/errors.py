@@ -14,7 +14,7 @@ class NumericError(NcisError, ArithmeticError):
 
 
 class SamplingError(NcisError, RuntimeError):
-    """Rejection sampling exhausted its attempt budget."""
+    """Outlier sampling was given a threshold no draw can pass."""
 
 
 class ParseError(NcisError, ValueError):

@@ -1,22 +1,18 @@
-"""Boundary outlier synthesis by rejection sampling in invariant space.
+"""Boundary outlier synthesis by exact tail draws in invariant space.
 
-Proposals are drawn from each class's fitted (lam-inflated) Gaussian and kept
-only when their log-density falls below the class's acceptance threshold: the
+Each class's outliers come from its fitted (lam-inflated) Gaussian
+conditioned on a log-density below the class's acceptance threshold: the
 ``q``-quantile of the log-densities the training points achieved under the
-same Gaussian.  Accepted invariant-space points are mapped back to embedding
-space through the exact inverse of the network.
+same Gaussian.  That condition bounds the draw's radius in the Gaussian's
+whitened coordinates from below, so the conditioned law is drawn exactly,
+as a uniform direction times a truncated chi radius, whatever the
+threshold's tail mass.  The outliers are mapped back to embedding space
+through the exact inverse of the network.
 
-Because the proposal covariance is the regularized one, raising ``lam``
-inflates precisely the collapsed invariant dimensions, pushing accepted
-samples further off the class manifold; the threshold recalibrates itself
-from the training quantiles at every ``lam``.
-
-Proposals are drawn in blocks: ``rng.standard_normal((B, D))`` fills a block
-in the same order as ``B`` one-row draws, every proposal's log-density is the
-same whatever it is batched with, and the first ``n`` accepted proposals are
-kept.  So a class accepts exactly the proposals that drawing and testing them
-one at a time would accept, from the same per-class stream, and the surplus
-drawn past the ``n``-th acceptance is never used.
+Because the Gaussian's covariance is the regularized one, raising ``lam``
+inflates precisely the collapsed invariant dimensions, pushing the outliers
+further off the class manifold; the threshold recalibrates itself from the
+training quantiles at every ``lam``.
 """
 
 from __future__ import annotations
@@ -32,8 +28,6 @@ from .data import as_labels
 from .density import log_density_v_batch
 from .errors import ContractError, SamplingError
 
-BLOCK = 1024  # proposals drawn and scored per step of the sampler
-
 
 @dataclass
 class OutlierSet:
@@ -45,7 +39,7 @@ class OutlierSet:
     lam: float
     q: float
     seed: int
-    attempts: np.ndarray       # (C,) proposals drawn per class
+    attempts: np.ndarray       # (C,) radius proposals drawn per class
 
     def __len__(self):
         return self.embeddings.shape[0]
@@ -73,55 +67,63 @@ def acceptance_threshold(bank, label, q) -> float:
     return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
 
 
-def rejection_sample_invariant(bank, label, q, max_attempts, rng, threshold=None, n=1):
-    """Draw the first ``n`` accepted invariant-space outliers of one class.
+def _tail_radii(rng, a, t, size):
+    """``size`` proposals for Gamma(a, 1) truncated below at ``t``, and which
+    are accepted: the gamma itself up to its mode, beyond it ``t`` plus an
+    exponential at Dagpunar's (1978) rate (1 when ``a <= 1``)."""
+    if t <= max(a - 1.0, 0.0):
+        s = rng.gamma(a, size=size)
+        return s, s > t
+    rate = 1.0 if a <= 1 else (t - a + math.hypot(t - a, 2.0 * math.sqrt(t))) / (2.0 * t)
+    peak = t if a <= 1 else t + 1.0 / rate  # where s**(a-1) * exp(-(1-rate)*s) peaks on s > t
+    s = t + rng.standard_exponential(size) / rate
+    log_ratio = (a - 1.0) * np.log(s / peak) - (1.0 - rate) * (s - peak)
+    return s, rng.random(size) <= np.exp(log_ratio)
 
-    Proposals are drawn ``BLOCK`` at a time (fewer when less of the budget
-    remains) and scored in one call.  Returns ``(vs, log_densities,
-    attempts)``: the accepted proposals in draw order, their log-densities,
-    and the number of proposals up to and including the ``n``-th accepted
-    one.  ``threshold`` overrides the quantile rule (pass ``np.inf`` to
-    accept every draw).  Raises :class:`SamplingError` when fewer than ``n``
-    of the first ``max_attempts`` proposals are accepted.
+
+def tail_sample_invariant(bank, label, q, rng, threshold=None, n=1):
+    """``n`` invariant-space outliers of one class, drawn exactly from its
+    Gaussian conditioned on a log-density below the threshold.
+
+    ``mu + L z`` is below the threshold exactly when ``||z||^2 > r^2``, so a
+    draw is a uniform direction times a radius whose half square is
+    Gamma(D/2, 1) truncated at ``r^2 / 2``.  Each round proposes a radius and
+    a direction for every open row, and closes the rows whose radius is
+    accepted and whose computed log-density is below the threshold.  Returns
+    ``(vs, log_densities, attempts)``, ``attempts`` counting radius
+    proposals.  ``threshold`` overrides the quantile rule (``np.inf``
+    accepts every draw); -inf or NaN, which no draw passes, raises
+    :class:`SamplingError`.
     """
     if threshold is None:
         threshold = acceptance_threshold(bank, label, q)
     lab = int(label)
-    max_attempts = int(max_attempts)
-    if max_attempts < 1:
-        raise ContractError("max_attempts must be at least 1")
+    if not threshold > -math.inf:
+        raise SamplingError(f"class {lab}: no draw has a log-density below {threshold} (q={q})")
     check_range("sample.n_per_class", n)
-    mu = bank.means[lab]
-    chol = bank.cholesky[lab]
-    vs, lds = [], []
-    found = 0
-    used = 0
-    while used < max_attempts:
-        size = min(BLOCK, max_attempts - used)
-        z = rng.standard_normal((size, bank.dim))
+    mu, chol = bank.means[lab], bank.cholesky[lab]
+    # the log-density at the mean minus the threshold is r^2 / 2
+    t = log_density_v_batch(bank, mu[None], lab)[0] - threshold
+    vs, lds = np.empty((n, bank.dim)), np.empty(n)
+    todo = np.arange(n)
+    attempts = 0
+    while todo.size:
+        s, ok = _tail_radii(rng, bank.dim / 2, t, todo.size)
+        attempts += todo.size
+        z = rng.standard_normal((todo.size, bank.dim))
+        z *= np.sqrt(2.0 * s / np.sum(z * z, axis=1))[:, None]
         # a stack of matrix-vector products: each row equals ``chol @ z[i]``
         v = mu + (chol @ z[:, :, None])[:, :, 0]
         ld = log_density_v_batch(bank, v, lab)
-        hit = np.flatnonzero(ld < threshold)[:n - found]
-        vs.append(v[hit])
-        lds.append(ld[hit])
-        found += hit.size
-        if found == n:
-            return np.concatenate(vs), np.concatenate(lds), used + int(hit[-1]) + 1
-        used += size
-    raise SamplingError(
-        f"class {lab}: accepted {found}/{n} outliers in {max_attempts} attempts "
-        f"(acceptance rate {found / max_attempts:.5f}, q={q})")
+        ok &= ld < threshold
+        vs[todo[ok]] = v[ok]
+        lds[todo[ok]] = ld[ok]
+        todo = todo[~ok]
+    return vs, lds, attempts
 
 
-def default_max_attempts(n_per_class, q) -> int:
-    # expected tail draws with a 10x safety factor
-    return int(math.ceil(10.0 * n_per_class / q))
-
-
-def synthesize_outliers(model, bank, n_per_class, q=RunConfig.sample_q, max_attempts=None,
-                        seed=0) -> OutlierSet:
-    """Exactly ``n_per_class`` accepted outliers for every class.
+def synthesize_outliers(model, bank, n_per_class, q=RunConfig.sample_q, seed=0) -> OutlierSet:
+    """Exactly ``n_per_class`` outliers for every class.
 
     Each class consumes its own generator seeded with ``seed ^ label``, so
     classes are reproducible independently of each other.
@@ -130,8 +132,6 @@ def synthesize_outliers(model, bank, n_per_class, q=RunConfig.sample_q, max_atte
     check_range("sample.q", q)
     if bank.dim != model.dim:
         raise ContractError("bank dimension does not match the model")
-    if max_attempts is None:
-        max_attempts = default_max_attempts(n_per_class, q)
 
     embeddings = []
     all_lds = []
@@ -140,8 +140,7 @@ def synthesize_outliers(model, bank, n_per_class, q=RunConfig.sample_q, max_atte
 
     for label in range(bank.class_count):
         rng = np.random.default_rng(seed ^ label)
-        vs, lds, attempts[label] = rejection_sample_invariant(
-            bank, label, q, max_attempts, rng, n=n_per_class)
+        vs, lds, attempts[label] = tail_sample_invariant(bank, label, q, rng, n=n_per_class)
         labels = np.full(n_per_class, label, dtype=np.int64)
         embeddings.append(cvpn.cvpn_inverse_batch(model, vs, labels))
         all_lds.append(lds)

@@ -187,10 +187,8 @@ def stage_fit_density(cfg: RunConfig, model, train):
 
 
 def stage_sample_outliers(cfg: RunConfig, model, bank):
-    max_attempts = cfg.sample_max_attempts if cfg.sample_max_attempts > 0 else None
     return (outlier_sampling.synthesize_outliers(
-        model, bank, cfg.sample_n_per_class, q=cfg.sample_q,
-        max_attempts=max_attempts, seed=cfg.seed),)
+        model, bank, cfg.sample_n_per_class, q=cfg.sample_q, seed=cfg.seed),)
 
 
 def stage_train_classifier(cfg: RunConfig, train, outliers):
@@ -242,7 +240,7 @@ STAGES = {
         "fit the class-conditional Gaussians in invariant space"),
     "sample-outliers": _stage(
         stage_sample_outliers, ("seed", "sample"), ("cvpn.txt", "bank.txt"), ("outliers.csv",),
-        "rejection-sample boundary outliers and map them back"),
+        "draw boundary outliers from the Gaussians' tails and map them back"),
     "train-classifier": _stage(
         stage_train_classifier, ("seed", "classifier"), ("embeddings_train.csv", "outliers.csv"),
         ("classifier.txt",),

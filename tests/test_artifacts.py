@@ -169,6 +169,42 @@ def test_malformed_csv_comment_rejected(tmp_path, save, load, comment, bad):
         load(path)
 
 
+BEYOND_INT64 = "99999999999999999999"
+
+
+def _two_row_csv(kind, path):
+    if kind == "embeddings":
+        artifacts.save_embeddings_csv(
+            LabeledEmbeddingSet(np.zeros((2, 2)), np.array([0, 1]), 2), path)
+    elif kind == "scores":
+        artifacts.save_scores_csv((["0", "OOD"], [0.5, -1.0], [1.5, 2.0]), path)
+    else:
+        artifacts.save_outliers_csv(OutlierSet(np.zeros((2, 2)), np.array([0, 1]), np.zeros(2),
+                                               1e-5, 0.05, 7, np.array([10, 12])), path)
+
+
+@pytest.mark.parametrize("kind, load, cell", [
+    ("embeddings", artifacts.load_embeddings_csv, 1),
+    ("scores", artifacts.load_scores_csv, 0),
+    ("outliers", artifacts.load_outliers_csv, 0),
+    ("outliers", artifacts.load_outliers_csv, None),
+], ids=["embeddings-label", "scores-index", "outliers-class", "attempts-comment"])
+def test_integer_cell_beyond_int64_rejected(tmp_path, kind, load, cell):
+    # an integer too large for int64 is a malformed file, not an OverflowError
+    path = tmp_path / f"{kind}.csv"
+    _two_row_csv(kind, path)
+    head, last = path.read_text().rstrip("\n").rsplit("\n", 1)
+    if cell is None:
+        head = head.replace("# attempts 10 12", f"# attempts 10 {BEYOND_INT64}")
+    else:
+        cells = last.split(",")
+        cells[cell] = BEYOND_INT64
+        last = ",".join(cells)
+    path.write_text(f"{head}\n{last}\n")
+    with pytest.raises(ArtifactError, match=path.name):
+        load(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_points_csv_rejects_non_finite(tmp_path, value):
     path = tmp_path / "ood.csv"

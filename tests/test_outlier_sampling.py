@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import ncis
-from ncis import cvpn, density, outlier_sampling as osmp
+from ncis import artifacts, cvpn, density, outlier_sampling as osmp, pipeline
+from ncis.config import parse_config
+from ncis.data import LabeledEmbeddingSet
 from ncis.errors import ContractError, SamplingError
 
 
@@ -20,38 +22,89 @@ def one_d_bank(n=20000, seed=0, lam=1e-5):
 
 def test_threshold_override_accepts_first_draw():
     bank, _ = one_d_bank(n=100)
-    vs, lds, attempts = osmp.rejection_sample_invariant(
-        bank, 0, q=0.05, max_attempts=10, rng=np.random.default_rng(1), threshold=np.inf)
+    vs, lds, attempts = osmp.tail_sample_invariant(
+        bank, 0, q=0.05, rng=np.random.default_rng(1), threshold=np.inf)
     assert attempts == 1
     assert vs.shape == (1, 1)
     assert np.isfinite(lds[0])
 
 
-def test_one_d_tail_acceptance_matches_analytic_quantile():
+def test_one_d_tail_draws_lie_beyond_the_analytic_quantile():
     bank, pts = one_d_bank()
     q = 0.05
     cutoff = np.quantile(np.abs(pts[:, 0] - bank.means[0, 0]), 1.0 - q)
-    vs, _, attempts_total = osmp.rejection_sample_invariant(
-        bank, 0, q, 100000, np.random.default_rng(2), n=500)
+    vs, _, _ = osmp.tail_sample_invariant(bank, 0, q, np.random.default_rng(2), n=500)
     accepted = np.abs(vs[:, 0] - bank.means[0, 0])
-    # every accepted draw sits beyond the (1-q) magnitude quantile of the data
+    # every draw sits beyond the (1-q) magnitude quantile of the data
     assert accepted.min() > cutoff * 0.999
-    rate = len(accepted) / attempts_total
-    assert 0.03 < rate < 0.07  # analytic tail mass is q = 0.05
 
 
-def test_rejection_deterministic_under_seed():
+def test_tail_draws_deterministic_under_seed():
     bank, _ = one_d_bank(n=500)
-    a = osmp.rejection_sample_invariant(bank, 0, 0.05, 10000, np.random.default_rng(42))
-    b = osmp.rejection_sample_invariant(bank, 0, 0.05, 10000, np.random.default_rng(42))
+    a = osmp.tail_sample_invariant(bank, 0, 0.05, np.random.default_rng(42), n=20)
+    b = osmp.tail_sample_invariant(bank, 0, 0.05, np.random.default_rng(42), n=20)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
 
 
-def test_sampling_failure_reports_rate():
+@pytest.mark.parametrize("threshold", [-np.inf, np.nan])
+def test_impassable_threshold_raises(threshold):
     bank, _ = one_d_bank(n=500)
-    with pytest.raises(SamplingError, match="acceptance rate"):
-        osmp.rejection_sample_invariant(bank, 0, 0.05, 1, np.random.default_rng(0),
-                                        threshold=-np.inf)
+    with pytest.raises(SamplingError, match="class 0: no draw"):
+        osmp.tail_sample_invariant(bank, 0, 0.05, np.random.default_rng(0),
+                                   threshold=threshold)
+
+
+def test_two_d_radius_needs_no_second_proposal():
+    # at D=2 the half squared radius beyond the threshold is exactly the
+    # threshold's plus Exp(1), so every radius proposal is accepted
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((300, 2)) * [1.0, 0.01]
+    bank = density.fit_class_gaussians(pts, np.zeros(300, dtype=int), lam=1e-5)
+    vs, lds, attempts = osmp.tail_sample_invariant(bank, 0, 0.05, rng, n=500)
+    assert attempts == 500
+    assert np.all(lds < osmp.acceptance_threshold(bank, 0, 0.05))
+
+
+def test_heavy_tailed_class_does_not_starve():
+    # Student-t (df=3) points leave the 5% threshold in the far tail of the
+    # fitted Gaussian: a rejection loop accepted 27 of its first 20,000
+    # proposals here
+    pts = np.random.default_rng(0).standard_t(3, (200, 16))
+    bank = density.fit_class_gaussians(pts, np.zeros(200, dtype=int), lam=1e-5)
+    vs, lds, attempts = osmp.tail_sample_invariant(bank, 0, 0.05, np.random.default_rng(1),
+                                                   n=100)
+    assert vs.shape == (100, 16)
+    assert np.all(lds < osmp.acceptance_threshold(bank, 0, 0.05))
+    assert attempts < 200
+
+
+def write_heavy_tailed_csvs(directory, seed=0):
+    """Three classes in D=16, class c at 3c plus t(3) noise in every
+    coordinate, with 200 train and 100 held-out rows each, and 300 OOD rows
+    from N(0, 100 I).  Returns the config lines of a small run on them."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(seed)
+    for name, n in (("train", 200), ("heldout", 100)):
+        labels = np.repeat(np.arange(3), n)
+        points = 3.0 * labels[:, None] + rng.standard_t(3, (len(labels), 16))
+        artifacts.save_embeddings_csv(LabeledEmbeddingSet(points, labels, 3),
+                                      directory / f"{name}.csv")
+    artifacts.save_points_csv(rng.normal(0.0, 10.0, (300, 16)), directory / "ood.csv")
+    return (f"embed.source = csv\ndata.train_csv = {directory / 'train.csv'}\n"
+            f"data.heldout_csv = {directory / 'heldout.csv'}\n"
+            f"data.ood_csv = {directory / 'ood.csv'}\n"
+            "cvpn.train_iterations = 10\nsample.n_per_class = 100\nclassifier.epochs = 2\n")
+
+
+def test_heavy_tailed_csv_run_samples_every_class(tmp_path):
+    # run-all on these inputs used to stop at sample-outliers with
+    # "class 0: accepted 15/100 outliers in 20000 attempts"
+    cfg = parse_config(write_heavy_tailed_csvs(tmp_path / "data"), environ={})
+    pipeline.run_pipeline(cfg, tmp_path / "run")
+    outs = artifacts.load_outliers_csv(tmp_path / "run" / "outliers.csv")
+    assert np.bincount(outs.labels).tolist() == [100, 100, 100]
+    assert (tmp_path / "run" / "metrics.csv").exists()
 
 
 def test_synthesize_counts_and_balance(toy_run):
@@ -115,12 +168,6 @@ def test_a_run_imports_no_numpy_ma(tmp_path):
     assert (tmp_path / "run" / "metrics.csv").exists()
 
 
-def test_exhausted_budget_raises_with_diagnostics(toy_run):
-    with pytest.raises(SamplingError, match="accepted"):
-        osmp.synthesize_outliers(toy_run.model, toy_run.bank, 500, q=0.05,
-                                 max_attempts=20, seed=0)
-
-
 def test_outlier_embedding_identity_model():
     model = cvpn.build_cvpn(2, 1, 2, 2, 8, 0)
     v = np.array([[0.4, -1.1]])
@@ -158,7 +205,3 @@ def test_lambda_difficulty_monotone(toy_run):
         outs = osmp.synthesize_outliers(toy_run.model, bank, 334, q=0.05, seed=7)
         mags.append(osmp.mean_invariant_magnitude(toy_run.model, outs))
     assert all(b >= a for a, b in zip(mags, mags[1:]))
-
-
-def test_default_attempt_budget():
-    assert osmp.default_max_attempts(200, 0.05) == 40000

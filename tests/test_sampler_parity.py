@@ -1,9 +1,11 @@
-"""The block sampler against the one-proposal-at-a-time loop it replaced.
+"""The tail sampler against the one-proposal-at-a-time rejection loop it
+replaced, in distribution.
 
-The reference below draws one proposal, solves one triangular system and
-tests one log-density per attempt, exactly as the sampler did before it drew
-blocks.  The block sampler must accept the same proposals from the same
-stream: equal embeddings, log-densities and attempt counts, bit for bit.
+The reference below draws one proposal from the class's Gaussian, solves one
+triangular system and keeps the proposal when its log-density is below the
+threshold, as the sampler did before it drew from the tail directly.  Both
+draw from the same conditioned law, so two-sample Kolmogorov-Smirnov
+statistics between their draws stay below the 5% critical value.
 """
 
 import math
@@ -11,8 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ncis import density, outlier_sampling as osmp
-from ncis.errors import SamplingError
+from ncis import cvpn, density, outlier_sampling as osmp
 
 
 def one_row_logdens(bank, v, label):
@@ -25,24 +26,18 @@ def one_row_logdens(bank, v, label):
     return float((-0.5 * (mean.shape[0] * math.log(2.0 * math.pi) + logdet + maha))[0])
 
 
-def one_at_a_time(bank, label, q, max_attempts, rng, n):
-    """Draw proposals one by one until ``n`` are accepted or the budget is spent."""
+def one_at_a_time(bank, label, q, rng, n):
+    """Draw proposals one by one until ``n`` are accepted."""
     threshold = osmp.acceptance_threshold(bank, label, q)
     mu, chol = bank.means[label], bank.cholesky[label]
     vs, lds = [], []
-    used = 0
-    while len(vs) < n and used < max_attempts:
-        used += 1
+    while len(vs) < n:
         v = mu + chol @ rng.standard_normal(bank.dim)
         ld = one_row_logdens(bank, v, label)
         if ld < threshold:
             vs.append(v)
             lds.append(ld)
-    if len(vs) < n:
-        raise SamplingError(
-            f"class {label}: accepted {len(vs)}/{n} outliers in {used} attempts "
-            f"(acceptance rate {len(vs) / max(used, 1):.5f}, q={q})")
-    return np.array(vs), np.array(lds), used
+    return np.array(vs), np.array(lds)
 
 
 def make_bank(dim, lam, seed):
@@ -57,63 +52,72 @@ def make_bank(dim, lam, seed):
     return density.fit_class_gaussians(np.concatenate(pts), np.concatenate(labels), lam)
 
 
-# (dim, lam, label, q, n, max_attempts, seed); BLOCK is 1024
+def ks_statistic(a, b):
+    """The largest gap between the empirical distribution functions of two
+    samples."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, at, side="right") / len(a)
+                               - np.searchsorted(b, at, side="right") / len(b))))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16])
+def test_tail_draws_match_one_at_a_time_in_distribution(dim):
+    # at D=16, Student-t (df=30) data: heavier tails than the fitted Gaussian,
+    # but light enough for the reference to accept ~6.5% of its proposals
+    if dim == 16:
+        pts = np.random.default_rng(dim).standard_t(30, (200, dim))
+        bank = density.fit_class_gaussians(pts, np.zeros(200, dtype=int), lam=1e-5)
+    else:
+        bank = make_bank(dim, 1e-4, dim)
+    want_vs, want_lds = one_at_a_time(bank, 0, 0.05, np.random.default_rng(100 + dim), 4000)
+    vs, lds, _ = osmp.tail_sample_invariant(bank, 0, 0.05, np.random.default_rng(dim), n=4000)
+    # 1.36 * sqrt(2 / 4000) = 0.0304 is the 5% critical value
+    assert ks_statistic(lds, want_lds) < 0.030
+    assert ks_statistic(vs[:, 0], want_vs[:, 0]) < 0.030
+
+
+# (dim, lam, label, q, n, seed)
 CASES = [
-    (1, 1e-5, 0, 0.05, 1, 200, 0),           # a single acceptance
-    (1, 1e-3, 1, 0.05, 200, 100000, 1),      # acceptance crosses block boundaries
-    (1, 1e-6, 0, 0.10, 30, 700, 2),          # budget smaller than one block
-    (2, 1e-6, 0, 0.05, 150, 100000, 3),
-    (2, 1e-5, 1, 0.05, 60, 2500, 4),         # budget not a multiple of the block
-    (2, 1e-4, 0, 0.02, 40, 5000, 5),
-    (2, 1e-2, 1, 0.05, 120, 100000, 6),
-    (2, 1e-5, 0, 0.05, 1024, 10 ** 6, 7),    # many blocks
-    (8, 1e-6, 0, 0.05, 100, 100000, 8),
-    (8, 1e-4, 1, 0.05, 25, 900, 9),          # budget smaller than one block
-    (8, 1e-2, 0, 0.10, 250, 3333, 10),       # budget not a multiple of the block
-    (8, 1e-3, 1, 0.05, 80, 100000, 11),
+    (1, 1e-5, 0, 0.05, 1, 0),           # a single draw
+    (1, 1e-3, 1, 0.05, 200, 1),
+    (1, 1e-6, 0, 0.10, 30, 2),
+    (2, 1e-6, 0, 0.05, 150, 3),
+    (2, 1e-5, 1, 0.05, 60, 4),
+    (2, 1e-4, 0, 0.02, 40, 5),
+    (2, 1e-2, 1, 0.05, 120, 6),
+    (2, 1e-5, 0, 0.05, 1024, 7),        # many draws
+    (8, 1e-6, 0, 0.05, 100, 8),
+    (8, 1e-4, 1, 0.05, 25, 9),
+    (8, 1e-2, 0, 0.10, 250, 10),
+    (8, 1e-3, 1, 0.05, 80, 11),
 ]
 
 
-@pytest.mark.parametrize("dim,lam,label,q,n,max_attempts,seed", CASES)
-def test_block_sampler_matches_one_at_a_time(dim, lam, label, q, n, max_attempts, seed):
+@pytest.mark.parametrize("dim,lam,label,q,n,seed", CASES)
+def test_tail_draws_score_as_one_row_below_the_threshold(dim, lam, label, q, n, seed):
+    # every draw's reported log-density is the one-row path's, bit for bit,
+    # and below the class's threshold; the same stream gives the same draws
     bank = make_bank(dim, lam, seed)
-    want = one_at_a_time(bank, label, q, max_attempts, np.random.default_rng(seed), n)
-    got = osmp.rejection_sample_invariant(bank, label, q, max_attempts,
-                                          np.random.default_rng(seed), n=n)
-    assert got[0].shape == (n, dim)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert got[2] == want[2]
+    vs, lds, attempts = osmp.tail_sample_invariant(bank, label, q, np.random.default_rng(seed),
+                                                   n=n)
+    assert vs.shape == (n, dim) and lds.shape == (n,)
+    assert np.array_equal(lds, [one_row_logdens(bank, v, label) for v in vs])
+    assert np.all(lds < osmp.acceptance_threshold(bank, label, q))
+    assert attempts >= n
+    again = osmp.tail_sample_invariant(bank, label, q, np.random.default_rng(seed), n=n)
+    assert np.array_equal(again[0], vs) and np.array_equal(again[1], lds) and again[2] == attempts
 
 
-@pytest.mark.parametrize("dim,block", [(1, 1), (2, 7), (8, 64)])
-def test_small_blocks_match_one_at_a_time(monkeypatch, dim, block):
-    monkeypatch.setattr(osmp, "BLOCK", block)
-    bank = make_bank(dim, 1e-4, 20 + dim)
-    want = one_at_a_time(bank, 0, 0.05, 1500, np.random.default_rng(dim), 40)
-    got = osmp.rejection_sample_invariant(bank, 0, 0.05, 1500, np.random.default_rng(dim), n=40)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert got[2] == want[2]
-
-
-@pytest.mark.parametrize("dim,n,max_attempts", [(1, 50, 300), (2, 400, 2100), (8, 500, 1024)])
-def test_exhaustion_raises_the_same_message(dim, n, max_attempts):
-    bank = make_bank(dim, 1e-4, 30 + dim)
-    with pytest.raises(SamplingError) as want:
-        one_at_a_time(bank, 1, 0.05, max_attempts, np.random.default_rng(dim), n)
-    with pytest.raises(SamplingError) as got:
-        osmp.rejection_sample_invariant(bank, 1, 0.05, max_attempts,
-                                        np.random.default_rng(dim), n=n)
-    assert str(got.value) == str(want.value)
-    assert "acceptance rate" in str(got.value)
-
-
-def test_synthesize_matches_one_at_a_time_per_class(toy_run):
+def test_synthesize_matches_the_tail_sampler_per_class(toy_run):
+    # each class draws from its own seed ^ label stream and is mapped back
+    # through the exact inverse of the network
     outs = osmp.synthesize_outliers(toy_run.model, toy_run.bank, 200, q=0.05, seed=5)
     for label in range(toy_run.bank.class_count):
-        _, lds, used = one_at_a_time(toy_run.bank, label, 0.05,
-                                     osmp.default_max_attempts(200, 0.05),
-                                     np.random.default_rng(5 ^ label), 200)
-        assert np.array_equal(outs.log_densities[outs.labels == label], lds)
-        assert outs.attempts[label] == used
+        vs, lds, attempts = osmp.tail_sample_invariant(
+            toy_run.bank, label, 0.05, np.random.default_rng(5 ^ label), n=200)
+        mine = outs.labels == label
+        assert np.array_equal(outs.log_densities[mine], lds)
+        assert outs.attempts[label] == attempts
+        assert np.array_equal(outs.embeddings[mine],
+                              cvpn.cvpn_inverse_batch(toy_run.model, vs, outs.labels[mine]))

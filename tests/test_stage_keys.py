@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ncis
-from ncis import artifacts, invariant_training, pipeline
+from ncis import artifacts, invariant_training, outlier_sampling, pipeline
 from ncis.config import CSV_SOURCE_FIELDS, RunConfig, config_lines
 from ncis.errors import ArtifactError, ParseError, PipelineError, SamplingError
 
@@ -206,17 +206,25 @@ def test_sweep_workers_leave_room_for_blas_threads(monkeypatch, cpus, env, branc
     assert pipeline._sweep_workers(branches) == workers
 
 
+def starve_sampling(monkeypatch):
+    """Make every sample-outliers stage raise SamplingError."""
+    def starving(model, bank, *args, **kwargs):
+        raise SamplingError(f"class 0: no outliers at lambda {bank.lam:.0e}")
+    monkeypatch.setattr(outlier_sampling, "synthesize_outliers", starving)
+
+
 def test_failing_sweep_raises_what_the_first_value_alone_raises(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: 2)
-    bad = tiny_cfg("sample.max_attempts = 1\n")
     alone_messages, messages = [], []
-    with pytest.raises(PipelineError) as alone:
-        pipeline.run_pipeline(replace(bad, density_lambda=pipeline.DEFAULT_SWEEP[0]),
-                              tmp_path / "alone", log=alone_messages.append)
-    with pytest.raises(PipelineError) as swept:
-        pipeline.sweep_lambda(bad, tmp_path / "sweep", log=messages.append)
+    with monkeypatch.context() as starving:
+        starve_sampling(starving)
+        with pytest.raises(PipelineError) as alone:
+            pipeline.run_pipeline(replace(tiny_cfg(), density_lambda=pipeline.DEFAULT_SWEEP[0]),
+                                  tmp_path / "alone", log=alone_messages.append)
+        with pytest.raises(PipelineError) as swept:
+            pipeline.sweep_lambda(tiny_cfg(), tmp_path / "sweep", log=messages.append)
     assert str(swept.value) == str(alone.value)
-    assert str(swept.value).startswith("stage 'sample-outliers': class 0: accepted")
+    assert str(swept.value).startswith("stage 'sample-outliers': class 0: no outliers")
     assert messages == alone_messages
     assert_no_child_left()
     assert len(pipeline.sweep_lambda(tiny_cfg(), tmp_path / "fresh")) == len(pipeline.DEFAULT_SWEEP)
@@ -234,7 +242,9 @@ def test_sweep_leaves_no_branch_state_behind(tmp_path, monkeypatch, workers, fai
     # a sweep, inline or forked, leaves the module's names, lists and dicts
     # as it found them, with every worker gone, whether it returns or raises
     monkeypatch.setattr(pipeline, "_sweep_workers", lambda branches: workers)
-    cfg = tiny_cfg("sample.max_attempts = 1\n" if fails else "")
+    cfg = tiny_cfg()
+    if fails:
+        starve_sampling(monkeypatch)
     lambdas = (1e-6, 1e-5)
     before = pipeline_state()
     if fails:
@@ -534,8 +544,7 @@ DEFAULT_KEY_LINES = {
                    "cvpn.train_iterations = 5000", "cvpn.train_lr = 0.001",
                    "invariants.k_override = 0", "invariants.p = 2.0", "seed = 7"],
     "fit-density": ["density.lambda = 1e-05"],
-    "sample-outliers": ["sample.max_attempts = 0", "sample.n_per_class = 1000", "sample.q = 0.05",
-                        "seed = 7"],
+    "sample-outliers": ["sample.n_per_class = 1000", "sample.q = 0.05", "seed = 7"],
     "train-classifier": ["classifier.batch = 128", "classifier.beta = 1.0",
                          "classifier.epochs = 800", "classifier.hidden_width = 64",
                          "classifier.lr = 0.003", "classifier.phi_hidden = 8", "seed = 7"],
