@@ -14,8 +14,7 @@ from .cvpn import (CvpnModel, build_cvpn, cvpn_forward_batch, cvpn_inverse_batch
 from .data import LabeledEmbeddingSet
 from .density import (ClassGaussianBank, fit_class_gaussians, log_density_e_batch,
                       log_density_v_batch)
-from .embedding import (Denoiser, LinearToyDenoiser, NoiseSchedule, embed_dataset, embed_sample,
-                        forward_noise)
+from .embedding import LinearToyDenoiser, NoiseSchedule, embed_dataset, forward_noise
 from .errors import (ArtifactError, ContractError, NcisError, NumericError,
                      ParseError, PipelineError, SamplingError)
 from .evalharness import ToyBenchmark, auroc, fpr_at_tpr, make_toy_benchmark

@@ -23,11 +23,11 @@ from typing import get_type_hints
 import numpy as np
 
 from .config import check_range
-from .cvpn import CvpnModel, build_cvpn
+from .cvpn import CvpnModel, cvpn_layout
 from .data import LabeledEmbeddingSet
 from .density import ClassGaussianBank, regularized_cholesky
 from .errors import ArtifactError, ContractError, NumericError
-from .ood_classifier import EnergyClassifier, build_energy_classifier
+from .ood_classifier import EnergyClassifier, classifier_layout
 from .outlier_sampling import OutlierSet
 
 SCHEMA_VERSION = 1
@@ -123,8 +123,8 @@ def read_record(path, kind):
                 shape = tuple(int(s) for s in parts[3:])
             except ValueError as err:
                 raise ArtifactError(f"{path}: bad shape for array '{name}'") from err
-            if len(shape) != ndim:
-                raise ArtifactError(f"{path}: rank/shape mismatch for array '{name}'")
+            if len(shape) != ndim or min(shape, default=0) < 0:
+                raise ArtifactError(f"{path}: bad rank or shape for array '{name}'")
             rows = shape[0] if ndim == 2 else 1
             want = shape[-1] if ndim else 1
             values = []
@@ -174,19 +174,26 @@ def _comment_fields(path, comments):
     return fields
 
 
-def _checked_params(path, shapes, arrays):
-    """The arrays named in ``shapes``, in its order, each of its shape there
-    (any shape for None); any other array in the file is rejected."""
-    for name, expected in shapes.items():
+def _checked_params(path, meta, count, layout, arrays):
+    """The record's ``arrays`` in record order, when they are the ``count``
+    arrays its ``meta`` fields imply, named and shaped as ``layout`` (an
+    iterable of ``(name, shape)``, any shape for None) gives.  The count is
+    checked before ``layout`` is walked, so the work is bounded by the file."""
+    given = "meta " + ", ".join(f"{key} {value}" for key, value in meta.items())
+    if count > len(arrays):
+        raise ArtifactError(f"{path}: {given} imply {count} arrays, found {len(arrays)}")
+    params = {}
+    for name, shape in layout:
         if name not in arrays:
-            raise ArtifactError(f"{path}: missing array '{name}'")
-        if expected is not None and arrays[name].shape != expected:
+            raise ArtifactError(f"{path}: missing array '{name}' ({given})")
+        if shape is not None and arrays[name].shape != shape:
             raise ArtifactError(
-                f"{path}: array '{name}' has shape {arrays[name].shape}, expected {expected}")
-    extra = set(arrays) - set(shapes)
+                f"{path}: array '{name}' has shape {arrays[name].shape}, but {given} imply {shape}")
+        params[name] = arrays[name]
+    extra = set(arrays) - set(params)
     if extra:
-        raise ArtifactError(f"{path}: unexpected array '{sorted(extra)[0]}'")
-    return {name: arrays[name] for name in shapes}
+        raise ArtifactError(f"{path}: unexpected array '{sorted(extra)[0]}' ({given})")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +213,16 @@ def _save_model(model, kind, path):
     write_record(path, kind, meta, model.params)
 
 
-def _load_model(path, kind, cls, build):
-    """``build(**meta)`` of the record's meta fields, its parameters then
-    replaced by the record's arrays."""
+def _load_model(path, kind, cls, layout):
+    """The ``cls`` record at ``path``, made from the file alone with no random
+    draw: ``layout`` range-checks its meta fields and gives the arrays they imply."""
     meta, arrays = read_record(path, kind)
-    model = build(**{name: _field(path, meta, name, cast) for name, cast in _meta_fields(cls)})
-    model.params = _checked_params(path, {name: p.shape for name, p in model.params.items()},
-                                   arrays)
-    return model
+    fields = {name: _field(path, meta, name, cast) for name, cast in _meta_fields(cls)}
+    try:
+        count, shapes = layout(**fields)
+    except ContractError as err:
+        raise ArtifactError(f"{path}: meta {err}") from err
+    return cls(**fields, params=_checked_params(path, meta, count, shapes, arrays))
 
 
 def save_cvpn(model: CvpnModel, path):
@@ -221,7 +230,7 @@ def save_cvpn(model: CvpnModel, path):
 
 
 def load_cvpn(path) -> CvpnModel:
-    return _load_model(path, "cvpn", CvpnModel, build_cvpn)
+    return _load_model(path, "cvpn", CvpnModel, cvpn_layout)
 
 
 def save_bank(bank: ClassGaussianBank, path):
@@ -244,11 +253,10 @@ def load_bank(path) -> ClassGaussianBank:
     except ContractError as err:
         raise ArtifactError(f"{path}: meta field 'lam': {err}") from err
     if class_count < 1 or dim < 1:
-        raise ArtifactError(f"{path}: meta fields 'class_count' and 'dim' must be >= 1, "
-                            f"got {class_count} and {dim}")
-    arrays = _checked_params(path, {
-        f"{kind}{c}": want for c in range(class_count)
-        for kind, want in (("mean", (dim,)), ("cov", (dim, dim)), ("train_logdens", None))}, arrays)
+        raise ArtifactError(f"{path}: meta class_count {class_count} and dim {dim} must be >= 1")
+    layout = ((f"{kind}{c}", want) for c in range(class_count)
+              for kind, want in (("mean", (dim,)), ("cov", (dim, dim)), ("train_logdens", None)))
+    arrays = _checked_params(path, meta, 3 * class_count, layout, arrays)
     means = np.stack([arrays[f"mean{c}"] for c in range(class_count)])
     covs = np.stack([arrays[f"cov{c}"] for c in range(class_count)])
     try:
@@ -270,7 +278,7 @@ def save_classifier(clf: EnergyClassifier, path):
 
 
 def load_classifier(path) -> EnergyClassifier:
-    return _load_model(path, "classifier", EnergyClassifier, build_energy_classifier)
+    return _load_model(path, "classifier", EnergyClassifier, classifier_layout)
 
 
 # ---------------------------------------------------------------------------

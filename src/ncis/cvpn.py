@@ -23,6 +23,7 @@ freshly built model is the exact identity map for every class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,30 +49,36 @@ class CvpnModel:
     params: dict
 
 
-def build_cvpn(dim, num_invariants, num_blocks, class_count, hidden_width, seed) -> CvpnModel:
-    """Construct a model that is the identity map for every class."""
+def cvpn_layout(dim, num_invariants, num_blocks, class_count, hidden_width, seed):
+    """The number of parameter arrays of a model with these fields and a lazy
+    iterator of their ``(name, shape)`` in record order; a field out of range
+    raises ``ContractError`` naming it."""
     if not 1 <= num_invariants < dim:
-        raise ContractError(f"num_invariants must lie in [1, {dim - 1}], got {num_invariants}")
+        raise ContractError(f"num_invariants must lie in [1, dim - 1] for dim {dim}, "
+                            f"got {num_invariants}")
     check_range("cvpn.num_blocks", num_blocks)
     check_range("cvpn.hidden_width", hidden_width)
+    check_range("seed", seed)
     if class_count < 1:
         raise ContractError("class_count must be at least 1")
-
-    rng = np.random.default_rng(seed)
     d = ceil_half(dim)
-    embed_dim = d
-    t_in = (dim - d) + embed_dim
-    skew_len = dim * (dim - 1) // 2
+    # a translation net reads the dim - d unshifted coordinates and a d-long class embedding
+    block = {"orth_skew": (dim * (dim - 1) // 2,),
+             "t_w1": (hidden_width, dim), "t_b1": (hidden_width,),
+             "t_w2": (hidden_width, hidden_width), "t_b2": (hidden_width,),
+             "t_w3": (d, hidden_width), "t_b3": (d,)}
+    return 1 + num_blocks * len(block), chain([("class_embed", (class_count, d))], (
+        (f"block{i}.{name}", shape) for i in range(num_blocks) for name, shape in block.items()))
 
-    params = {"class_embed": 0.01 * rng.standard_normal((class_count, embed_dim))}
-    for i in range(num_blocks):
-        params[f"block{i}.orth_skew"] = np.zeros(skew_len)
-        params[f"block{i}.t_w1"] = rng.standard_normal((hidden_width, t_in)) / np.sqrt(t_in)
-        params[f"block{i}.t_b1"] = np.zeros(hidden_width)
-        params[f"block{i}.t_w2"] = rng.standard_normal((hidden_width, hidden_width)) / np.sqrt(hidden_width)
-        params[f"block{i}.t_b2"] = np.zeros(hidden_width)
-        params[f"block{i}.t_w3"] = np.zeros((d, hidden_width))
-        params[f"block{i}.t_b3"] = np.zeros(d)
+
+def build_cvpn(dim, num_invariants, num_blocks, class_count, hidden_width, seed) -> CvpnModel:
+    """Construct a model that is the identity map for every class."""
+    _, layout = cvpn_layout(dim, num_invariants, num_blocks, class_count, hidden_width, seed)
+    params = {name: np.zeros(shape) for name, shape in layout}
+    rng = np.random.default_rng(seed)
+    params["class_embed"] = 0.01 * rng.standard_normal(params["class_embed"].shape)
+    for name in (f"block{i}.t_w{j}" for i in range(num_blocks) for j in (1, 2)):
+        params[name] = rng.standard_normal(params[name].shape) / np.sqrt(params[name].shape[1])
     return CvpnModel(dim, num_invariants, class_count, num_blocks, hidden_width, seed, params)
 
 

@@ -9,13 +9,12 @@ anchor; with zero iterations it is the anchor, bit for bit.  The loop reads
 its seed and its ``embed.*`` budgets from the pipeline's ``RunConfig``, which
 checks their ranges when it is built.
 
-The denoiser is abstract so externally produced embeddings (or a real
-denoising model) can replace the analytic toy denoiser used for verification.
+The denoiser is any object with the ``loss_and_grad`` that :func:`embed_dataset`
+calls, so a real denoising model can replace the analytic toy one.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,22 +70,7 @@ def forward_noise(x0, t, noise, schedule: NoiseSchedule):
     return np.sqrt(ab)[t - 1] * x0 + np.sqrt(1.0 - ab)[t - 1] * noise
 
 
-class Denoiser(abc.ABC):
-    """Noise predictor conditioned on an embedding.
-
-    ``loss_and_grad`` receives, for ``N`` items, noised batches ``(N, B, dx)``,
-    the noise drawn for them ``(N, B, dx)`` and the embeddings ``(N, de)``.
-    It returns each item's loss, its squared prediction error averaged over
-    its batch, and the loss's gradient with respect to its embedding; an
-    item's results must not depend on the other items.
-    """
-
-    @abc.abstractmethod
-    def loss_and_grad(self, noisy, eps, embeddings):
-        """Per-item loss ``(N,)`` and its embedding gradient ``(N, de)``."""
-
-
-class LinearToyDenoiser(Denoiser):
+class LinearToyDenoiser:
     """Analytic denoiser ``noisy - A @ embedding`` with full-rank A.
 
     The expected loss is quadratic in the embedding with the closed-form
@@ -118,23 +102,12 @@ class LinearToyDenoiser(Denoiser):
         return np.linalg.solve(self.matrix, c * np.asarray(x0, dtype=np.float64))
 
 
-def embed_sample(sample, anchor, denoiser: Denoiser, schedule: NoiseSchedule,
-                 cfg: RunConfig):
-    """Gradient-descend the embedding of one sample, starting at ``anchor``.
-
-    The one-item case of :func:`embed_dataset`, seeded with ``cfg.seed``.
-    """
-    return embed_dataset([sample], [0], [anchor], denoiser, schedule, cfg,
-                         item_seeds=[cfg.seed]).embeddings[0]
-
-
 def derive_item_seed(seed, index) -> int:
     """Stable per-item seed from a base seed and an item index."""
     return int(np.random.SeedSequence(entropy=(int(seed), int(index))).generate_state(1)[0])
 
 
-def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
-                  schedule: NoiseSchedule, cfg: RunConfig,
+def embed_dataset(samples, labels, anchors, denoiser, schedule: NoiseSchedule, cfg: RunConfig,
                   item_seeds=None) -> LabeledEmbeddingSet:
     """Embed every (sample, label) pair independently, in input order.
 
@@ -146,6 +119,14 @@ def embed_dataset(samples, labels, anchors, denoiser: Denoiser,
     gradient steps together, in one batch; an item's step draws
     ``cfg.embed_batch_size`` (timestep, noise) pairs and moves
     ``cfg.embed_learning_rate`` times the gradient.
+
+    Each step calls ``denoiser.loss_and_grad(noisy, eps, embeddings)`` with
+    the items' noised batches ``(N, B, dx)``, the noise drawn for them and
+    their embeddings ``(N, de)``.  It returns each item's loss ``(N,)``, its
+    squared prediction error averaged over its batch, and the loss's gradient
+    with respect to its embedding ``(N, de)``; an item's results must not
+    depend on the other items.  One item with ``item_seeds=[cfg.seed]``
+    embeds a single sample.
     """
     anchors = as_rows(anchors, name="anchors")  # one row per class
     class_count = anchors.shape[0]

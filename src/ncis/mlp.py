@@ -14,10 +14,9 @@ written into its own array, and the gradients with respect to the layers'
 inputs into one pair of arrays that successive layers use in turn.  A
 layer's input is not read again once its weight gradient has been taken, so
 the buffered backward pass writes the input's tanh slope over it.  A
-buffered pass gives the same bits as a plain one.  Inference calls the pair
-without ``out``, and then the backward pass leaves the inputs untouched.
-Fresh arrays cost page faults: the classifier's 256x64 activations are
-exactly glibc's default 128 KiB mmap threshold.
+buffered pass gives the same bits as a plain one.  Fresh arrays cost page
+faults: the classifier's 256x64 activations are exactly glibc's default
+128 KiB mmap threshold.
 """
 
 from __future__ import annotations

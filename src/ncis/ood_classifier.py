@@ -40,31 +40,37 @@ class EnergyClassifier:
     params: dict
 
 
-def build_energy_classifier(dim, class_count, hidden_width=RunConfig.classifier_hidden_width,
-                            phi_hidden=RunConfig.classifier_phi_hidden,
-                            beta=RunConfig.classifier_beta, seed=0) -> EnergyClassifier:
-    """Fresh classifier; the scoring head's output layer starts at zero, so the
-    score is identically zero before training."""
+def classifier_layout(dim, class_count, hidden_width, phi_hidden, beta, seed):
+    """The number of parameter arrays of a classifier with these fields and
+    their ``(name, shape)`` in record order; a field out of range raises
+    ``ContractError`` naming it."""
     if dim < 1 or class_count < 1:
         raise ContractError("dim and class_count must be positive")
     check_range("classifier.hidden_width", hidden_width)
     check_range("classifier.phi_hidden", phi_hidden)
     check_range("classifier.beta", beta)
+    check_range("seed", seed)
+    shapes = {"clf.w1": (hidden_width, dim), "clf.b1": (hidden_width,),
+              "clf.w2": (hidden_width, hidden_width), "clf.b2": (hidden_width,),
+              "clf.w3": (class_count, hidden_width), "clf.b3": (class_count,),
+              "phi.w1": (phi_hidden, 1), "phi.b1": (phi_hidden,),
+              "phi.w2": (1, phi_hidden), "phi.b2": ()}
+    return len(shapes), shapes.items()
+
+
+def build_energy_classifier(dim, class_count, hidden_width=RunConfig.classifier_hidden_width,
+                            phi_hidden=RunConfig.classifier_phi_hidden,
+                            beta=RunConfig.classifier_beta, seed=0) -> EnergyClassifier:
+    """Fresh classifier; the scoring head's output layer starts at zero, so the
+    score is identically zero before training."""
+    _, layout = classifier_layout(dim, class_count, hidden_width, phi_hidden, beta, seed)
+    params = {name: np.zeros(shape) for name, shape in layout}
     rng = np.random.default_rng(seed)
-    params = {
-        "clf.w1": rng.standard_normal((hidden_width, dim)) / np.sqrt(dim),
-        "clf.b1": np.zeros(hidden_width),
-        "clf.w2": rng.standard_normal((hidden_width, hidden_width)) / np.sqrt(hidden_width),
-        "clf.b2": np.zeros(hidden_width),
-        "clf.w3": rng.standard_normal((class_count, hidden_width)) / np.sqrt(hidden_width),
-        "clf.b3": np.zeros(class_count),
-        # gentle slopes keep the tanh units unsaturated over the energy range,
-        # so the separation term can keep shaping the energies themselves
-        "phi.w1": 0.1 * rng.standard_normal((phi_hidden, 1)),
-        "phi.b1": np.zeros(phi_hidden),
-        "phi.w2": np.zeros((1, phi_hidden)),
-        "phi.b2": np.zeros(()),
-    }
+    for name in ("clf.w1", "clf.w2", "clf.w3"):
+        params[name] = rng.standard_normal(params[name].shape) / np.sqrt(params[name].shape[1])
+    # gentle slopes keep the tanh units unsaturated over the energy range,
+    # so the separation term can keep shaping the energies themselves
+    params["phi.w1"] = 0.1 * rng.standard_normal(params["phi.w1"].shape)
     return EnergyClassifier(dim, class_count, hidden_width, phi_hidden,
                             float(beta), seed, params)
 

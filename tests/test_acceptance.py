@@ -289,12 +289,13 @@ def test_criterion_09_embedding_loop():
     x0 = np.array([1.5, -0.7])
     target = den.closed_form_embedding(x0, schedule)
     cfg = RunConfig(embed_iterations=200, embed_batch_size=256, embed_learning_rate=0.02, seed=11)
-    e = emb.embed_sample(x0, np.zeros(2), den, schedule, cfg)
+    e = emb.embed_dataset([x0], [0], [np.zeros(2)], den, schedule, cfg,
+                          item_seeds=[cfg.seed]).embeddings[0]
     rel = float(np.linalg.norm(e - target) / np.linalg.norm(target))
     assert rel < 0.05
     anchor = np.array([0.123456789, -9.87654321])
-    out = emb.embed_sample(x0, anchor, den, schedule,
-                           RunConfig(embed_iterations=0, seed=4))
+    out = emb.embed_dataset([x0], [0], [anchor], den, schedule, RunConfig(embed_iterations=0),
+                            item_seeds=[4]).embeddings[0]
     assert np.array_equal(out, anchor)
     _report(9, "embedding loop", f"relative distance to minimizer {rel:.4f}", started)
 

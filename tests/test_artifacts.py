@@ -1,4 +1,7 @@
 import re
+import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -48,6 +51,14 @@ def test_version_bump_rejected(trained_model, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ArtifactError, match="schema_version"):
         artifacts.load_cvpn(path)
+
+
+@pytest.mark.parametrize("header", ["array a 2 -1 2", "array a 2 0 -5", "array a 1 -3"])
+def test_negative_array_size_rejected(tmp_path, header):
+    path = tmp_path / "bank.txt"
+    path.write_text(f"ncis-artifact bank 1\n{header}\nend\n")
+    with pytest.raises(ArtifactError, match="bank.txt: bad rank or shape for array 'a'"):
+        artifacts.read_record(path, "bank")
 
 
 def test_wrong_kind_rejected(trained_model, tmp_path):
@@ -324,19 +335,79 @@ def test_unexpected_parameter_array_rejected(toy_run, tmp_path, kind):
         load(path)
 
 
-@pytest.mark.parametrize("kind, line, bad, error", [
-    ("bank", "meta class_count 3", "meta class_count -1", ArtifactError),
-    ("bank", "meta dim 2", "meta dim 0", ArtifactError),
-    ("classifier", "meta hidden_width 64", "meta hidden_width -1", ContractError),
-    ("classifier", "meta phi_hidden 8", "meta phi_hidden 0", ContractError),
-    ("cvpn", "meta num_blocks 4", "meta num_blocks 0", ContractError),
-])
-def test_out_of_range_meta_field_rejected(toy_run, tmp_path, kind, line, bad, error):
-    path, load = _saved_record(toy_run, tmp_path, kind)
+def _with_line(path, line, bad):
     text = path.read_text()
     assert f"\n{line}\n" in text
     path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
-    with pytest.raises(error):
+
+
+@pytest.mark.parametrize("kind, line, bad", [
+    ("bank", "meta class_count 3", "meta class_count -1"),
+    ("bank", "meta dim 2", "meta dim 0"),
+    ("classifier", "meta hidden_width 64", "meta hidden_width -1"),
+    ("classifier", "meta phi_hidden 8", "meta phi_hidden 0"),
+    ("cvpn", "meta num_blocks 4", "meta num_blocks 0"),
+])
+def test_out_of_range_meta_field_rejected(toy_run, tmp_path, kind, line, bad):
+    path, load = _saved_record(toy_run, tmp_path, kind)
+    _with_line(path, line, bad)
+    with pytest.raises(ArtifactError, match=f"{kind}.txt"):
+        load(path)
+
+
+# (record, meta line, its bad value, the field the refusal names): a field out
+# of range, or one that claims arrays other than the file's
+@pytest.mark.parametrize("kind, line, bad, field", [
+    ("cvpn", "meta seed 7", "meta seed -1", "seed"),
+    ("cvpn", "meta dim 2", "meta dim 99999999999999999999", "dim"),
+    ("cvpn", "meta num_invariants 1", "meta num_invariants 0", "num_invariants"),
+    ("cvpn", "meta class_count 3", "meta class_count 0", "class_count"),
+    ("cvpn", "meta dim 2", "meta dim 1", "dim"),
+    ("cvpn", "meta hidden_width 32", "meta hidden_width 2000", "hidden_width"),
+    ("classifier", "meta seed 7", "meta seed -1", "seed"),
+    ("classifier", "meta beta 1.0", "meta beta -1.0", "beta"),
+    ("bank", "meta class_count 3", "meta class_count 1000000", "class_count"),
+])
+def test_bad_meta_field_rejected_naming_the_file_and_field(toy_run, tmp_path, kind, line, bad,
+                                                           field):
+    path, load = _saved_record(toy_run, tmp_path, kind)
+    _with_line(path, line, bad)
+    with pytest.raises(ArtifactError, match=rf"{kind}\.txt: .*\b{field}\b"):
+        load(path)
+
+
+@pytest.mark.parametrize("kind, line, bad", [
+    ("cvpn", "meta hidden_width 32", "meta hidden_width 2000"),
+    ("bank", "meta class_count 3", "meta class_count 1000000"),
+])
+def test_meta_field_refused_before_allocating_what_it_claims(toy_run, tmp_path, kind, line, bad):
+    # four 2000x2000 weight matrices are 128 MB; a million classes are three
+    # million arrays: a loader's work is bounded by the file it reads
+    path, load = _saved_record(toy_run, tmp_path, kind)
+    _with_line(path, line, bad)
+    started = time.perf_counter()
+    with pytest.raises(ArtifactError):
+        load(path)
+    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArtifactError):
+            load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.25
+    assert peak < 2**20
+
+
+def test_loading_a_model_draws_no_random_numbers(toy_run, tmp_path, monkeypatch):
+    records = [_saved_record(toy_run, tmp_path, kind) for kind in ("cvpn", "classifier")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a loader drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for path, load in records:
         load(path)
 
 
@@ -472,3 +543,58 @@ def test_a_write_failing_part_way_removes_the_file(tmp_path):
     with pytest.raises(ValueError):
         artifacts.save_scores_csv(columns, path)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# mutated copies of one small run's files
+# ---------------------------------------------------------------------------
+
+MUTANTS = 1000  # mutated copies of each file
+TOKENS = ["nan", "-1", "0", "99999999999999999999", "x", "", "#", "end"]
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_run")
+    pipeline.run_pipeline(RunConfig(
+        seed=3, benchmark_n_per_class=20, benchmark_ood_count=30, cvpn_hidden_width=4,
+        cvpn_train_iterations=20, sample_n_per_class=10, classifier_epochs=2,
+        classifier_hidden_width=4, classifier_phi_hidden=2), out)
+    return out
+
+
+def _mutated(lines, rng):
+    """``lines`` after one edit, which deletes, duplicates or truncates a line
+    or replaces one of its tokens; and the edit, as text.  Edits favour the
+    head of a file, where its kind, meta, comment and header lines are."""
+    lines = list(lines)
+    i = int(len(lines) * rng.random() ** 3)
+    edit = ("delete", "duplicate", "truncate", "replace")[int(rng.integers(4))]
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "truncate":
+        lines[i] = lines[i][:int(rng.integers(len(lines[i]) + 1))]
+    else:
+        parts = re.split(r"([ ,])", lines[i])  # the tokens are at the even places
+        parts[2 * int(rng.integers((len(parts) + 1) // 2))] = str(rng.choice(TOKENS))
+        lines[i] = "".join(parts)
+    return lines, f"{edit} line {i + 1}" + ("" if edit == "delete" else f": {lines[i]!r}")
+
+
+@pytest.mark.parametrize("name", list(pipeline.FORMATS))
+def test_mutated_artifact_loads_or_raises_artifact_error(small_run, tmp_path, name):
+    load = getattr(artifacts, f"load_{pipeline.FORMATS[name]}")
+    lines = (small_run / name).read_text().splitlines()
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    path = tmp_path / name
+    for copy in range(MUTANTS):
+        mutated, edit = _mutated(lines, rng)
+        path.write_text("".join(line + "\n" for line in mutated))
+        try:
+            load(path)
+        except ArtifactError:
+            pass
+        except Exception as err:
+            pytest.fail(f"copy {copy} ({edit}) raised {type(err).__name__}: {err}")

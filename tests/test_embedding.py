@@ -9,6 +9,12 @@ from conftest import rel_err
 import tape
 
 
+def embed_one(sample, anchor, denoiser, schedule, cfg):
+    """The embedding of one sample from ``anchor``, seeded with ``cfg.seed``."""
+    return emb.embed_dataset([sample], [0], [anchor], denoiser, schedule, cfg,
+                             item_seeds=[cfg.seed]).embeddings[0]
+
+
 def test_linear_schedule_shape():
     s = emb.NoiseSchedule.linear(50)
     assert s.timesteps == 50
@@ -62,8 +68,7 @@ def test_zero_iterations_returns_anchor_bit_exact():
     schedule = emb.NoiseSchedule.linear(50)
     den = emb.LinearToyDenoiser(np.eye(2))
     anchor = np.array([0.123456789, -9.87654321])
-    out = emb.embed_sample(np.ones(2), anchor, den, schedule,
-                           RunConfig(embed_iterations=0, seed=3))
+    out = embed_one(np.ones(2), anchor, den, schedule, RunConfig(embed_iterations=0, seed=3))
     assert np.array_equal(out, anchor)
 
 
@@ -75,7 +80,7 @@ def test_embedding_reaches_closed_form_minimizer():
     x0 = np.array([1.5, -0.7])
     target = den.closed_form_embedding(x0, schedule)
     cfg = RunConfig(embed_iterations=200, embed_batch_size=256, embed_learning_rate=0.02, seed=11)
-    e = emb.embed_sample(x0, np.zeros(2), den, schedule, cfg)
+    e = embed_one(x0, np.zeros(2), den, schedule, cfg)
     assert np.linalg.norm(e - target) / np.linalg.norm(target) < 0.05
 
 
@@ -83,8 +88,8 @@ def test_embedding_deterministic():
     schedule = emb.NoiseSchedule.linear(50)
     den = emb.LinearToyDenoiser(np.array([[1.2, 0.1], [-0.2, 0.8]]))
     cfg = RunConfig(embed_iterations=25, embed_batch_size=32, embed_learning_rate=0.02, seed=5)
-    a = emb.embed_sample(np.ones(2), np.zeros(2), den, schedule, cfg)
-    b = emb.embed_sample(np.ones(2), np.zeros(2), den, schedule, cfg)
+    a = embed_one(np.ones(2), np.zeros(2), den, schedule, cfg)
+    b = embed_one(np.ones(2), np.zeros(2), den, schedule, cfg)
     assert np.array_equal(a, b)
 
 
@@ -109,7 +114,7 @@ def test_heldout_loss_median_non_increasing_over_iterations():
         for k in range(max_iters + 1):
             cfg = RunConfig(embed_iterations=k, embed_batch_size=64, embed_learning_rate=0.02,
                             seed=seed)
-            e = emb.embed_sample(x0, np.zeros(2), den, schedule, cfg)
+            e = embed_one(x0, np.zeros(2), den, schedule, cfg)
             losses.append(heldout_loss(e))
         curves.append(losses)
     median = np.median(np.array(curves), axis=0)
@@ -156,10 +161,9 @@ def test_embed_dataset_order_and_per_item_seeds():
     out = emb.embed_dataset(samples, labels, anchors, den, schedule, cfg)
     assert len(out) == 10
     # each item embeds independently under its derived seed
-    item3 = emb.embed_sample(samples[3], anchors[labels[3]], den, schedule,
-                             RunConfig(embed_iterations=5, embed_batch_size=8,
-                                       embed_learning_rate=0.05,
-                                       seed=emb.derive_item_seed(21, 3)))
+    item3 = embed_one(samples[3], anchors[labels[3]], den, schedule,
+                      RunConfig(embed_iterations=5, embed_batch_size=8, embed_learning_rate=0.05,
+                                seed=emb.derive_item_seed(21, 3)))
     assert np.array_equal(out.embeddings[3], item3)
 
 

@@ -34,6 +34,17 @@ def test_readme_imports_exist():
     assert not missing
 
 
+def test_readme_library_prose_names_only_what_ncis_has():
+    # a name deleted from the package cannot stay in the section's prose
+    section = README.read_text().split("## Library use", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = [span for span in re.findall(r"`([^`]+)`", prose)
+             if re.fullmatch(r"[A-Za-z_]\w*", span) and span not in ("nan", "inf")]
+    assert names
+    ncis = importlib.import_module("ncis")
+    assert [name for name in names if not hasattr(ncis, name)] == []
+
+
 def test_readme_library_example_runs():
     (block,) = readme_python_blocks()
     out = io.StringIO()
